@@ -9,7 +9,9 @@ bitwise and concentrates each cell's mass on a single y), plus the
 observed joint itself, which trivially shares its own marginals and
 keeps the bound a true upper bound of the reported value.
 
-Evaluation conventions, chosen to keep the bound scale meaningful:
+Candidates are scored by the batched measure engine (``engine.py``), each
+with its own marginals, under its ``on_support`` convention, chosen to
+keep the bound scale meaningful:
 
 * measures of two-variable objects (the (x,y) marginal for rmi, the
   do-rows for nace / race / rmi_do) use the standard divergences;
@@ -37,8 +39,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ExplosionGuard, UnknownMeasure
-from .prob import LN2, Joint3, _js_nat_terms
+from .engine import BatchContext, measure_values
+from .errors import ExplosionGuard, ShapeMismatch, UnknownMeasure
+from .prob import Joint3
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 BOUND_MEASURES = (
@@ -159,186 +162,20 @@ class BoundReport:
     n_enumerated: int
 
 
-# ---------------------------------------------------------------------------
-# Batched kernels over a stack of candidate joints (leading axis = candidate).
-# ---------------------------------------------------------------------------
-
-
-def _js_dense(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    axes = tuple(range(1, p.ndim))
-    m = 0.5 * (p + q)
-    h = 0.5 * (p - q)
-    r = np.divide(h, m, out=np.zeros_like(m), where=m > 0)
-    tp = _js_nat_terms(p, q, r)
-    tq = _js_nat_terms(q, p, -r)
-    js = (tp.sum(axis=axes) + tq.sum(axis=axes)) / (2.0 * LN2)
-    return np.clip(js, 0.0, 1.0)
-
-
-def _js_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """JS with both KL sums accumulated only where ``support`` is true."""
-    axes = tuple(range(1, p.ndim))
-    m = 0.5 * (p + q)
-    h = 0.5 * (p - q)
-    r = np.divide(h, m, out=np.zeros_like(m), where=m > 0)
-    tp = np.where(support, _js_nat_terms(p, q, r), 0.0)
-    tq = np.where(support, _js_nat_terms(q, p, -r), 0.0)
-    js = (tp.sum(axis=axes) + tq.sum(axis=axes)) / (2.0 * LN2)
-    return np.clip(js, 0.0, 1.0)
-
-
-class _BatchContext:
-    """Quantities shared by every batched measure kernel for one candidate stack."""
-
-    def __init__(self, base: Joint3, stack: np.ndarray, strategy: SparseStrategy):
-        self.strategy = strategy
-        self.d_x, self.d_y, self.d_z = base.shape
-        self.pxz = base.probs.sum(axis=1)
-        self.px = self.pxz.sum(axis=1)
-        self.pz = self.pxz.sum(axis=0)
-        self.q = stack  # (n, dx, dy, dz); every candidate shares the base p(x,z)
-        self.n = stack.shape[0]
-        self.support = stack > 0
-        self.pyz = stack.sum(axis=1)
-        self.py = self.pyz.sum(axis=2)
-        self.pxy = stack.sum(axis=3)
-        safe_pz = np.where(self.pz > 0, self.pz, 1.0)
-        self.y_given_z = np.where(self.pz[None, None, :] > 0, self.pyz / safe_pz[None, None, :], 0.0)
-        self.x_given_z = np.where(
-            self.pz[None, :] > 0, self.pxz / safe_pz[None, :], self.px[:, None]
-        )  # marginal fallback only touches zero-mass strata
-        self._ycond = None
-        self._xcond = None
-        self._rows = None
-
-    def ycond(self) -> np.ndarray:
-        """p(y | x,z) per candidate with strategy fill where p(x,z) = 0; (n, dx, dy, dz)."""
-        if self._ycond is None:
-            s = self.strategy
-            if s is SparseStrategy.UNIFORM:
-                fill = np.full((1, 1, self.d_y, 1), 1.0 / self.d_y)
-            elif s is SparseStrategy.MARGINAL:
-                fill = self.py[:, None, :, None]
-            else:
-                cm = np.where(self.pz[None, None, :] > 0, self.y_given_z, self.py[:, :, None])
-                fill = cm[:, None, :, :]
-            ycond = np.broadcast_to(fill, (self.n, self.d_x, self.d_y, self.d_z)).copy()
-            sup = self.pxz > 0
-            det = np.where(
-                sup[None, :, None, :], self.q / np.where(sup, self.pxz, 1.0)[None, :, None, :], 0.0
-            )
-            self._ycond = np.where(sup[None, :, None, :], det, ycond)
-        return self._ycond
-
-    def xcond(self) -> np.ndarray:
-        """p(x | y,z) per candidate with strategy fill where p(y,z) = 0; (n, dx, dy, dz)."""
-        if self._xcond is None:
-            s = self.strategy
-            if s is SparseStrategy.UNIFORM:
-                fill = np.full((1, self.d_x, 1, 1), 1.0 / self.d_x)
-            elif s is SparseStrategy.MARGINAL:
-                fill = self.px[None, :, None, None]
-            else:
-                fill = self.x_given_z[None, :, None, :]
-            defined = self.pyz > 0
-            safe = np.where(defined, self.pyz, 1.0)
-            self._xcond = np.where(defined[:, None, :, :], self.q / safe[:, None, :, :], fill)
-        return self._xcond
-
-    def do_rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = np.einsum("nxyz,z->nxy", self.ycond(), self.pz)
-        return self._rows
-
-
-def _k_rmi(ctx: _BatchContext) -> np.ndarray:
-    prod = ctx.px[None, :, None] * ctx.py[:, None, :]
-    return np.sqrt(_js_dense(ctx.pxy, prod))
-
-
-def _k_rcmi(ctx: _BatchContext) -> np.ndarray:
-    qrec = ctx.pxz[None, :, None, :] * ctx.y_given_z[:, None, :, :]
-    return np.sqrt(_js_on_support(ctx.q, qrec, ctx.support))
-
-
-def _k_rpmi(ctx: _BatchContext) -> np.ndarray:
-    qx = np.einsum("nxyz,ny->nzx", ctx.xcond(), ctx.py)
-    qy = np.einsum("nxyz,x->nzy", ctx.ycond(), ctx.px)
-    mass = qx.sum(axis=2) * qy.sum(axis=2)  # (n, dz)
-    scale = np.where((ctx.pz[None, :] > 0) & (mass > 0), mass, 1.0)
-    qprime = np.einsum("nzx,nzy->nxyz", qx, qy) * (
-        ctx.pz[None, None, None, :] / scale[:, None, None, :]
-    )
-    qprime = np.where(ctx.pz[None, None, None, :] > 0, qprime, 0.0)
-    return np.sqrt(_js_on_support(ctx.q, qprime, ctx.support))
-
-
-def _k_ricmi_xy(ctx: _BatchContext) -> np.ndarray:
-    p1 = ctx.ycond() * ctx.px[None, :, None, None] * ctx.pz[None, None, None, :]
-    p2 = np.broadcast_to(ctx.px[None, :, None, None] * ctx.pyz[:, None, :, :], p1.shape)
-    return np.sqrt(_js_on_support(p1, p2, p1 > 0))
-
-
-def _k_ricmi_yx(ctx: _BatchContext) -> np.ndarray:
-    p1 = ctx.xcond() * ctx.py[:, None, :, None] * ctx.pz[None, None, None, :]
-    p2 = np.broadcast_to(ctx.py[:, None, :, None] * ctx.pxz[None, :, None, :], p1.shape)
-    return np.sqrt(_js_on_support(p1, p2, p1 > 0))
-
-
-def _k_ricmi_two(ctx: _BatchContext) -> np.ndarray:
-    return 0.5 * (_k_ricmi_xy(ctx) + _k_ricmi_yx(ctx))
-
-
-def _pairwise_max(ctx: _BatchContext, kernel) -> np.ndarray:
-    rows = ctx.do_rows()
-    best = np.zeros(ctx.n)
-    for i in range(ctx.d_x):
-        for k in range(i + 1, ctx.d_x):
-            best = np.maximum(best, kernel(rows[:, i, :], rows[:, k, :]))
-    return best
-
-
-def _k_nace(ctx: _BatchContext) -> np.ndarray:
-    return _pairwise_max(ctx, lambda a, b: 0.5 * np.abs(a - b).sum(axis=1))
-
-
-def _k_race(ctx: _BatchContext) -> np.ndarray:
-    return np.sqrt(_pairwise_max(ctx, _js_dense))
-
-
-def _k_rmi_do(ctx: _BatchContext) -> np.ndarray:
-    pdo = ctx.do_rows() * ctx.px[None, :, None]
-    pdo_y = pdo.sum(axis=1)
-    prod = ctx.px[None, :, None] * pdo_y[:, None, :]
-    return np.sqrt(_js_dense(pdo, prod))
-
-
-_KERNELS = {
-    "rmi": _k_rmi,
-    "rcmi": _k_rcmi,
-    "rpmi": _k_rpmi,
-    "ricmi_xy": _k_ricmi_xy,
-    "ricmi_yx": _k_ricmi_yx,
-    "ricmi_two": _k_ricmi_two,
-    "nace": _k_nace,
-    "race": _k_race,
-    "rmi_do": _k_rmi_do,
-}
-
-
 def candidate_values(
     j: Joint3,
     stack: np.ndarray,
     measures: Sequence[str],
     s: SparseStrategy = DEFAULT_STRATEGY,
 ) -> dict[str, np.ndarray]:
-    """Bound-convention values of several measures on a stack of candidates.
+    """Bound-convention values of several measures on a stack of candidates shaped like ``j``.
 
-    Candidates must share the base joint's (x,z) marginal.  Exposed so
-    tests can re-check reported maxima against per-candidate evaluations.
+    Every candidate is evaluated with its own marginals.  Exposed so tests
+    can re-check reported maxima against per-candidate evaluations.
     """
-    ctx = _BatchContext(j, stack, SparseStrategy.parse(s))
-    return {m: _KERNELS[m](ctx) for m in measures}
+    if stack.shape[1:] != j.shape:
+        raise ShapeMismatch(f"candidates of shape {stack.shape[1:]} for a joint of shape {j.shape}")
+    return measure_values(stack, measures, s, support="on_support")
 
 
 def achievable_bounds(
@@ -350,23 +187,25 @@ def achievable_bounds(
     """Exact achievable bounds of several measures in a single enumeration pass."""
     strategy = SparseStrategy.parse(s)
     for m in measures:
-        if m not in _KERNELS:
-            raise UnknownMeasure(f"no achievable bound for {m!r}; choose from {sorted(_KERNELS)}")
+        if m not in BOUND_MEASURES:
+            raise UnknownMeasure(f"no achievable bound for {m!r}; choose from {sorted(BOUND_MEASURES)}")
     it = CouplingIterator(j, cap=cap)
     n = len(it)
     # The observed joint is always a candidate: it shares its own marginals,
     # so the reported bound can never fall below the reported value.
-    own = candidate_values(j, j.probs[None, :, :, :], measures, strategy)
-    best = {m: float(own[m][0]) for m in measures}
+    own = BatchContext(j.probs[None], strategy, support="on_support")
+    best = {m: float(own.value(m)[0]) for m in measures}
+    for m in measures:
+        if math.isnan(best[m]):
+            raise own.undefined_error(m)
     best_idx: dict[str, int | None] = {m: None for m in measures}
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        ctx = _BatchContext(j, it.joints_chunk(it.digits_chunk(start, stop)), strategy)
+        vals = candidate_values(j, it.joints_chunk(it.digits_chunk(start, stop)), measures, strategy)
         for m in measures:
-            vals = _KERNELS[m](ctx)
-            k = int(np.argmax(vals))
-            if float(vals[k]) > best[m]:
-                best[m] = float(vals[k])
+            k = int(np.argmax(vals[m]))
+            if float(vals[m][k]) > best[m]:
+                best[m] = float(vals[m][k])
                 best_idx[m] = start + k
     out = {}
     for m in measures:

@@ -107,7 +107,9 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
     if bootstrap_b:
         if ds.observations is None:
             raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
-        cis = bootstrap_cis(ds.observations, measures, bootstrap_b, seed, strategy, ds.encoding)
+        # pc is left out of the report below, so it is not resampled either
+        reported = [m for m in measures if m != "pc" or ds.pc_allowed]
+        cis = bootstrap_cis(ds.observations, reported, bootstrap_b, seed, strategy, ds.encoding)
     bounds = {}
     if with_bounds:
         wanted = [m for m in measures if m in BOUND_MEASURES]

@@ -4,19 +4,20 @@ All of these treat Z as a sufficient back-door adjustment set for X -> Y;
 that assumption is not checkable from the joint distribution and is not
 checked here (the CLI prints a caveat instead).  The intervened
 conditional is p(y | do(x)) = sum_z p(y|x,z) p(z), with undefined
-p(y|x,z) cells filled by the chosen sparse strategy.
+p(y|x,z) cells filled by the chosen sparse strategy.  The arithmetic lives
+in the batched engine (``engine.py``); these are its one-table calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import SINGLE, BatchContext, mi_rows, pair_max, rmi_rows
 from .errors import SingleCategory
-from .prob import Joint3, entropy, js_divergence, kl_divergence, marginal, total_variation
-from .sparse import DEFAULT_STRATEGY, SparseStrategy, filled_conditional
+from .prob import Joint3, marginal
+from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,68 +39,41 @@ class DoConditional:
 
 
 def do_conditional(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> DoConditional:
-    s = SparseStrategy.parse(s)
-    fc = filled_conditional(j, "y", "xz", s)  # (dx, dz, dy)
-    pz = marginal(j, "z").probs
-    rows = np.einsum("xzy,z->xy", fc, pz)
-    fill_count = int(np.count_nonzero(j.probs.sum(axis=1) == 0))
-    return DoConditional(rows=rows, strategy=s, fill_count=fill_count)
+    ctx = BatchContext(j.probs[None], s)
+    fill_count = int(np.count_nonzero(ctx.pxz[0] == 0))
+    return DoConditional(rows=ctx.do_rows[0], strategy=ctx.strategy, fill_count=fill_count)
 
 
-def _require_pairs(dc: DoConditional) -> None:
+def _best_pair(dc: DoConditional, measure: str) -> tuple[float, tuple[int, int]]:
     if dc.d_x < 2:
-        raise SingleCategory("X has a single category; no pair of interventions to contrast")
-
-
-def _max_over_pairs(dc: DoConditional, kernel) -> tuple[float, tuple[int, int]]:
-    """Maximum of kernel(row_x, row_x') over ordered pairs; first pair wins ties."""
-    _require_pairs(dc)
-    best = -math.inf
-    best_pair = (0, 0)
-    for i in range(dc.d_x):
-        for k in range(dc.d_x):
-            if i == k:
-                continue
-            v = kernel(dc.rows[i], dc.rows[k])
-            if v > best:
-                best, best_pair = v, (i, k)
-    return best, best_pair
+        raise SingleCategory(SINGLE)
+    v, pair = pair_max(dc.rows[None], measure)
+    return float(v[0]), (int(pair[0, 0]), int(pair[0, 1]))
 
 
 def ace(dc: DoConditional) -> float:
     """Average causal effect: largest single-outcome probability shift, in [0, 1]."""
-    v, _ = _max_over_pairs(dc, lambda a, b: float(np.max(a - b)))
-    return max(v, 0.0)
+    return _best_pair(dc, "ace")[0]
 
 
 def nace(dc: DoConditional) -> float:
     """Normalized ACE: largest total-variation distance between do-rows, in [0, 1]."""
-    v, _ = _max_over_pairs(dc, total_variation)
-    return v
+    return _best_pair(dc, "nace")[0]
 
 
 def ace_kl(dc: DoConditional) -> float:
     """Largest KL divergence between do-rows, in bits; unbounded and possibly +inf."""
-    v, _ = _max_over_pairs(dc, kl_divergence)
-    return v
+    return _best_pair(dc, "ace_kl")[0]
 
 
 def race(dc: DoConditional) -> float:
     """Regularized ACE: largest root-JS distance between do-rows, in [0, 1]."""
-    v, _ = _max_over_pairs(dc, lambda a, b: math.sqrt(js_divergence(a, b)))
-    return v
+    return _best_pair(dc, "race")[0]
 
 
 def argmax_pair(dc: DoConditional, measure: str = "nace") -> tuple[int, int]:
     """Which (x, x') pair attains the maximum for one of the pairwise measures."""
-    kernels = {
-        "ace": lambda a, b: float(np.max(a - b)),
-        "nace": total_variation,
-        "ace_kl": kl_divergence,
-        "race": lambda a, b: math.sqrt(js_divergence(a, b)),
-    }
-    _, pair = _max_over_pairs(dc, kernels[measure])
-    return pair
+    return _best_pair(dc, measure)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +110,9 @@ def mi_do(dj: DoJoint) -> float:
     Zero when H(p_do(y)) is zero: a deterministic intervened outcome
     leaves nothing for X to explain.
     """
-    hy = entropy(dj.p_y)
-    if hy <= 0:
-        return 0.0
-    mi = max(entropy(dj.p_x) + hy - entropy(dj.probs), 0.0)
-    return min(mi / hy, 1.0)
+    return float(mi_rows(dj.probs[None], dj.p_x[None], dj.p_y[None])[1][0])
 
 
 def rmi_do(dj: DoJoint) -> float:
     """Root-JS distance between p_do(x,y) and the product of its marginals, in [0, 1)."""
-    return math.sqrt(js_divergence(dj.probs, np.outer(dj.p_x, dj.p_y)))
+    return float(rmi_rows(dj.probs[None], dj.p_x[None], dj.p_y[None])[0])

@@ -3,11 +3,15 @@
 Conventions used throughout the package:
 
 * all logarithms are base 2, with ``0 * log 0 = 0`` by continuity;
-* probabilities are 64-bit floats, normalized to 1 within ``NORM_TOL``
-  at construction time;
+* probabilities are finite, nonnegative 64-bit floats, normalized to 1
+  within ``NORM_TOL`` at construction time;
 * the Kullback-Leibler divergence returns ``math.inf`` (rather than
   raising) when the second argument has a zero inside the support of the
   first, so downstream measures can report singularity explicitly;
+* entropy and the divergences are computed row-wise over a leading stack
+  axis (``_entropy_rows``, ``_kl_rows``, ``_js_rows``, ``_tv_rows``, used by
+  the measure engine); the scalar functions are the one-row case of the
+  same code;
 * every table is an immutable value object and every operation is pure,
   so everything here is safe to share across threads.
 
@@ -69,6 +73,8 @@ def _frozen_probs(probs: Iterable, ndim: int) -> np.ndarray:
     arr = np.array(probs, dtype=float)
     if arr.ndim != ndim:
         raise InvalidDistribution(f"expected a {ndim}-dimensional table, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidDistribution("non-finite probability entry")
     if np.any(arr < 0):
         raise InvalidDistribution("negative probability entry")
     total = float(arr.sum())
@@ -167,6 +173,8 @@ def from_counts(counts: Iterable, alphabets: Sequence[Alphabet]) -> Joint3:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 3:
         raise InvalidDistribution(f"expected a 3-dimensional count table, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidDistribution("non-finite count")
     if np.any(arr < 0):
         raise InvalidDistribution("negative count")
     total = float(arr.sum())
@@ -224,11 +232,19 @@ def conditional(j: Joint3, target: str, given: str) -> CondTable:
     )
 
 
+def _axes(p: np.ndarray) -> tuple[int, ...]:
+    return tuple(range(1, np.ndim(p)))
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each table along the leading axis."""
+    # p + (p == 0) takes the log of 1 on empty cells, which then add 0
+    return -(p * np.log2(p + (p == 0))).sum(axis=_axes(p))
+
+
 def entropy(d: Distribution) -> float:
     """Shannon entropy in bits."""
-    p = _probs_of(d)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log2(p[mask])))
+    return float(_entropy_rows(_probs_of(d)[None])[0])
 
 
 def _pair(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
@@ -238,15 +254,24 @@ def _pair(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(p || q) in bits per leading-axis row; inf where q misses the support of p."""
+    axes = _axes(p)
+    pos = p > 0
+    empty = q == 0
+    # Cells outside the common support take the log of 1 on both sides:
+    # they add 0 where p = 0 and only occur in infinite rows otherwise.
+    # A difference of logs rather than the log of the ratio is immune to
+    # the overflow a normal/subnormal entry pair produces.
+    pad = ~pos | empty
+    terms = p * (np.log2(p + pad) - np.log2(q + pad))
+    return np.where((pos & empty).any(axis=axes), math.inf, terms.sum(axis=axes))
+
+
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Kullback-Leibler divergence D(p || q) in bits; inf when q misses the support of p."""
     pa, qa = _pair(p, q)
-    mask = pa > 0
-    if np.any(qa[mask] == 0):
-        return math.inf
-    # difference of logs rather than log of the ratio: immune to the
-    # overflow a normal/subnormal entry pair produces
-    return float(np.sum(pa[mask] * (np.log2(pa[mask]) - np.log2(qa[mask]))))
+    return float(_kl_rows(pa[None], qa[None])[0])
 
 
 def _js_nat_terms(a: np.ndarray, other: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -269,16 +294,27 @@ def _js_nat_terms(a: np.ndarray, other: np.ndarray, ratio: np.ndarray) -> np.nda
     return out
 
 
+def _js_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """Jensen-Shannon divergence in bits per leading-axis row, clipped to [0, 1].
+
+    With a boolean ``support``, both KL sums run only over its true cells.
+    """
+    axes = _axes(p)
+    m = 0.5 * (p + q)
+    h = 0.5 * (p - q)  # p - m; exact in IEEE arithmetic
+    ratio = np.divide(h, m, out=np.zeros_like(m), where=m > 0)
+    tp = _js_nat_terms(p, q, ratio)
+    tq = _js_nat_terms(q, p, -ratio)
+    if support is not None:
+        tp = np.where(support, tp, 0.0)
+        tq = np.where(support, tq, 0.0)
+    return np.minimum(np.maximum((tp.sum(axis=axes) + tq.sum(axis=axes)) / (2.0 * LN2), 0.0), 1.0)
+
+
 def js_divergence(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence in bits, always in [0, 1]."""
     pa, qa = _pair(p, q)
-    m = 0.5 * (pa + qa)
-    h = 0.5 * (pa - qa)  # p - m; exact in IEEE arithmetic
-    ratio = np.divide(h, m, out=np.zeros_like(m), where=m > 0)
-    tp = float(_js_nat_terms(pa, qa, ratio).sum())
-    tq = float(_js_nat_terms(qa, pa, -ratio).sum())
-    js = (tp + tq) / (2.0 * LN2)
-    return min(max(js, 0.0), 1.0)
+    return float(_js_rows(pa[None], qa[None])[0])
 
 
 def sqrt_js(p: Distribution, q: Distribution) -> float:
@@ -286,7 +322,12 @@ def sqrt_js(p: Distribution, q: Distribution) -> float:
     return math.sqrt(js_divergence(p, q))
 
 
+def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total variation distance per leading-axis row."""
+    return 0.5 * np.abs(p - q).sum(axis=_axes(p))
+
+
 def total_variation(p: Distribution, q: Distribution) -> float:
     """Total variation distance, in [0, 1]."""
     pa, qa = _pair(p, q)
-    return 0.5 * float(np.abs(pa - qa).sum())
+    return float(_tv_rows(pa[None], qa[None])[0])

@@ -1,8 +1,9 @@
-"""Single registry mapping measure ids to evaluation functions on a Joint3.
+"""Single registry of measure ids, their ranges and their families.
 
-Every entry takes the same signature (joint, strategy, encoding) so the
-bootstrap engine, the bound cross-checks and the CLI can all dispatch by
-id.  ``lo``/``hi`` document the measure's range; ``hi = inf`` marks the
+Every id is evaluated by the batched engine (``engine.py``); ``evaluate``
+is its stack-of-1 call on one joint, so the bootstrap engine, the bound
+cross-checks and the CLI all dispatch by id and get the same numbers.
+``lo``/``hi`` document the measure's range; ``hi = inf`` marks the
 KL-valued measures that may legitimately report the infinity sentinel.
 """
 
@@ -10,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
-from .docalc import ace, ace_kl, do_conditional, do_joint, mi_do, nace, race, rmi_do
+# The single-object function behind each id stays importable from here.
+from .docalc import ace, ace_kl, do_conditional, do_joint, mi_do, nace, race, rmi_do  # noqa: F401
+from .engine import Codes, evaluate_one
 from .errors import UnknownMeasure
-from .prob import Joint3, marginal
-from .removal import cmi, cmi_js, icmi_oneway, pmi, rcmi, ricmi, rpmi
+from .prob import Alphabet, Joint3
+from .removal import cmi, cmi_js, icmi_oneway, pmi, rcmi, ricmi, rpmi  # noqa: F401
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
-from .totalcorr import (
+from .totalcorr import (  # noqa: F401
     DEFAULT_ENCODING,
     NumericEncoding,
     mutual_information,
@@ -26,8 +29,6 @@ from .totalcorr import (
     pcc,
     regularized_mi,
 )
-
-MeasureFn = Callable[[Joint3, SparseStrategy, NumericEncoding], float]
 
 
 @dataclass(frozen=True)
@@ -39,60 +40,32 @@ class MeasureSpec:
     needs_encoding: bool
     boundable: bool
     do_family: bool
-    fn: MeasureFn
-
-
-def _xy(j: Joint3):
-    return marginal(j, "xy")
 
 
 _SPECS: list[MeasureSpec] = [
-    MeasureSpec("pcc", "Pearson correlation", -1, 1, True, False, False,
-                lambda j, s, e: pcc(_xy(j), e)),
-    MeasureSpec("pc", "partial correlation", -1, 1, True, False, False,
-                lambda j, s, e: partial_correlation(j, e)),
-    MeasureSpec("mi", "mutual information (bits)", 0, math.inf, False, False, False,
-                lambda j, s, e: mutual_information(_xy(j))),
-    MeasureSpec("nmi_y", "normalized MI toward Y", 0, 1, False, False, False,
-                lambda j, s, e: normalized_mi(_xy(j)).to_y),
-    MeasureSpec("nmi_x", "normalized MI toward X", 0, 1, False, False, False,
-                lambda j, s, e: normalized_mi(_xy(j)).to_x),
-    MeasureSpec("nmi_max", "normalized MI (larger direction)", 0, 1, False, False, False,
-                lambda j, s, e: normalized_mi(_xy(j)).max),
-    MeasureSpec("rmi", "regularized MI", 0, 1, False, True, False,
-                lambda j, s, e: regularized_mi(_xy(j))),
-    MeasureSpec("cmi", "conditional MI (bits)", 0, math.inf, False, False, False,
-                lambda j, s, e: cmi(j)),
-    MeasureSpec("cmi_js", "JS-normalized CMI", 0, 1, False, False, False,
-                lambda j, s, e: cmi_js(j)),
-    MeasureSpec("rcmi", "regularized CMI", 0, 1, False, True, False,
-                lambda j, s, e: rcmi(j)),
-    MeasureSpec("pmi", "part MI (bits)", 0, math.inf, False, False, False,
-                lambda j, s, e: pmi(j, s)),
-    MeasureSpec("rpmi", "regularized part MI", 0, 1, False, True, False,
-                lambda j, s, e: rpmi(j, s)),
-    MeasureSpec("icmi_xy", "one-way independent CMI X->Y (bits)", 0, math.inf, False, False, False,
-                lambda j, s, e: icmi_oneway(j, "xy", s)),
-    MeasureSpec("icmi_yx", "one-way independent CMI Y->X (bits)", 0, math.inf, False, False, False,
-                lambda j, s, e: icmi_oneway(j, "yx", s)),
-    MeasureSpec("ricmi_xy", "regularized ICMI X->Y", 0, 1, False, True, False,
-                lambda j, s, e: ricmi(j, s).xy),
-    MeasureSpec("ricmi_yx", "regularized ICMI Y->X", 0, 1, False, True, False,
-                lambda j, s, e: ricmi(j, s).yx),
-    MeasureSpec("ricmi_two", "regularized ICMI two-way", 0, 1, False, True, False,
-                lambda j, s, e: ricmi(j, s).two_way),
-    MeasureSpec("ace", "average causal effect", 0, 1, False, False, True,
-                lambda j, s, e: ace(do_conditional(j, s))),
-    MeasureSpec("nace", "normalized ACE", 0, 1, False, True, True,
-                lambda j, s, e: nace(do_conditional(j, s))),
-    MeasureSpec("ace_kl", "KL ACE (bits)", 0, math.inf, False, False, True,
-                lambda j, s, e: ace_kl(do_conditional(j, s))),
-    MeasureSpec("race", "regularized ACE", 0, 1, False, True, True,
-                lambda j, s, e: race(do_conditional(j, s))),
-    MeasureSpec("mi_do", "normalized MI of the intervened joint", 0, 1, False, False, True,
-                lambda j, s, e: mi_do(do_joint(j, s))),
-    MeasureSpec("rmi_do", "regularized MI of the intervened joint", 0, 1, False, True, True,
-                lambda j, s, e: rmi_do(do_joint(j, s))),
+    MeasureSpec("pcc", "Pearson correlation", -1, 1, True, False, False),
+    MeasureSpec("pc", "partial correlation", -1, 1, True, False, False),
+    MeasureSpec("mi", "mutual information (bits)", 0, math.inf, False, False, False),
+    MeasureSpec("nmi_y", "normalized MI toward Y", 0, 1, False, False, False),
+    MeasureSpec("nmi_x", "normalized MI toward X", 0, 1, False, False, False),
+    MeasureSpec("nmi_max", "normalized MI (larger direction)", 0, 1, False, False, False),
+    MeasureSpec("rmi", "regularized MI", 0, 1, False, True, False),
+    MeasureSpec("cmi", "conditional MI (bits)", 0, math.inf, False, False, False),
+    MeasureSpec("cmi_js", "JS-normalized CMI", 0, 1, False, False, False),
+    MeasureSpec("rcmi", "regularized CMI", 0, 1, False, True, False),
+    MeasureSpec("pmi", "part MI (bits)", 0, math.inf, False, False, False),
+    MeasureSpec("rpmi", "regularized part MI", 0, 1, False, True, False),
+    MeasureSpec("icmi_xy", "one-way independent CMI X->Y (bits)", 0, math.inf, False, False, False),
+    MeasureSpec("icmi_yx", "one-way independent CMI Y->X (bits)", 0, math.inf, False, False, False),
+    MeasureSpec("ricmi_xy", "regularized ICMI X->Y", 0, 1, False, True, False),
+    MeasureSpec("ricmi_yx", "regularized ICMI Y->X", 0, 1, False, True, False),
+    MeasureSpec("ricmi_two", "regularized ICMI two-way", 0, 1, False, True, False),
+    MeasureSpec("ace", "average causal effect", 0, 1, False, False, True),
+    MeasureSpec("nace", "normalized ACE", 0, 1, False, True, True),
+    MeasureSpec("ace_kl", "KL ACE (bits)", 0, math.inf, False, False, True),
+    MeasureSpec("race", "regularized ACE", 0, 1, False, True, True),
+    MeasureSpec("mi_do", "normalized MI of the intervened joint", 0, 1, False, False, True),
+    MeasureSpec("rmi_do", "regularized MI of the intervened joint", 0, 1, False, True, True),
 ]
 
 MEASURES: dict[str, MeasureSpec] = {m.id: m for m in _SPECS}
@@ -112,10 +85,19 @@ def get_measure(measure_id: str) -> MeasureSpec:
     return spec
 
 
+def label_codes(
+    alphabets: Sequence[Alphabet], measure_ids: Sequence[str], enc: NumericEncoding
+) -> Codes | None:
+    """Numeric codes of the X, Y and Z labels when one of the measures is linear, else None."""
+    if any(get_measure(m).needs_encoding for m in measure_ids):
+        return tuple(enc.codes(a) for a in alphabets)  # type: ignore[return-value]
+    return None
+
+
 def evaluate(
     j: Joint3,
     measure_id: str,
     s: SparseStrategy = DEFAULT_STRATEGY,
     enc: NumericEncoding = DEFAULT_ENCODING,
 ) -> float:
-    return get_measure(measure_id).fn(j, SparseStrategy.parse(s), enc)
+    return evaluate_one(j, measure_id, s, label_codes(j.alphabets, (measure_id,), enc))

@@ -14,18 +14,18 @@ Three reconstructions of "the same joint with no direct X-Y correlation":
   from p1; the mirrored construction gives the Y-to-X direction.
 
 KL-based values may be +inf on sparse data (reported, never clamped);
-each has a root-JS regularized analogue bounded in [0, 1].
+each has a root-JS regularized analogue bounded in [0, 1].  The
+arithmetic lives in the batched engine (``engine.py``); these are its
+one-joint calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .prob import Joint3, entropy, js_divergence, kl_divergence, marginal
-from .sparse import DEFAULT_STRATEGY, SparseStrategy, filled_conditional
+from .engine import BatchContext, evaluate_one
+from .prob import Joint3
+from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 
 def reconstruct_q_cmi(j: Joint3) -> Joint3:
@@ -35,89 +35,44 @@ def reconstruct_q_cmi(j: Joint3) -> Joint3:
     zero mass in both the input and the reconstruction, so no fill rule
     is ever needed here.
     """
-    pxz = j.probs.sum(axis=1)
-    pyz = j.probs.sum(axis=0)
-    pz = pxz.sum(axis=0)
-    y_given_z = np.where(pz[None, :] > 0, pyz / np.where(pz[None, :] > 0, pz[None, :], 1.0), 0.0)
-    q = pxz[:, None, :] * y_given_z[None, :, :]
-    return Joint3(j.alphabets, q)
+    return Joint3(j.alphabets, BatchContext(j.probs[None]).q_cmi()[0])
 
 
 def cmi(j: Joint3) -> float:
     """Conditional mutual information H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), in bits."""
-    hxz = entropy(j.probs.sum(axis=1))
-    hyz = entropy(j.probs.sum(axis=0))
-    hz = entropy(j.probs.sum(axis=(0, 1)))
-    return max(hxz + hyz - entropy(j) - hz, 0.0)
+    return evaluate_one(j, "cmi")
 
 
 def cmi_js(j: Joint3) -> float:
     """JS divergence between the joint and its CMI reconstruction, in [0, 1]."""
-    return js_divergence(j, reconstruct_q_cmi(j))
+    return evaluate_one(j, "cmi_js")
 
 
 def rcmi(j: Joint3) -> float:
     """Regularized CMI: root-JS distance to the CMI reconstruction, in [0, 1]."""
-    return math.sqrt(cmi_js(j))
-
-
-def _q_pmi_with_masses(j: Joint3, s: SparseStrategy) -> tuple[Joint3, np.ndarray]:
-    px = marginal(j, "x").probs
-    py = marginal(j, "y").probs
-    pz = marginal(j, "z").probs
-    x_given_yz = filled_conditional(j, "x", "yz", s)  # (dy, dz, dx)
-    y_given_xz = filled_conditional(j, "y", "xz", s)  # (dx, dz, dy)
-    qx = np.einsum("yzx,y->zx", x_given_yz, py)
-    qy = np.einsum("xzy,x->zy", y_given_xz, px)
-    # The fill makes each rebuilt stratum conditional sum to 1 already;
-    # dividing by the realized mass guards the float residue and records it.
-    masses = qx.sum(axis=1) * qy.sum(axis=1)
-    q = qx.T[:, None, :] * qy.T[None, :, :] * pz[None, None, :]
-    scale = np.where((pz > 0) & (masses > 0), masses, 1.0)
-    q = q / scale[None, None, :]
-    q = np.where(pz[None, None, :] > 0, q, 0.0)
-    return Joint3(j.alphabets, q), np.where(pz > 0, masses, 1.0)
+    return evaluate_one(j, "rcmi")
 
 
 def reconstruct_q_pmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> Joint3:
     """The PMI reconstruction q(x|z) q(y|z) p(z), renormalized within each stratum."""
-    q, _ = _q_pmi_with_masses(j, SparseStrategy.parse(s))
-    return q
+    return Joint3(j.alphabets, BatchContext(j.probs[None], s).q_pmi()[0][0])
 
 
 def pmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Part mutual information: KL distance to the PMI reconstruction; may be +inf."""
-    return kl_divergence(j, reconstruct_q_pmi(j, s))
+    return evaluate_one(j, "pmi", s)
 
 
 def rpmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Regularized PMI: root-JS distance to the PMI reconstruction, in [0, 1]."""
-    return math.sqrt(js_divergence(j, reconstruct_q_pmi(j, s)))
-
-
-def _icmi_pair(j: Joint3, direction: str, s: SparseStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """The (p1, p2) probability pair for one ICMI direction ('xy' or 'yx')."""
-    if direction == "xy":
-        fc = filled_conditional(j, "y", "xz", s)  # (dx, dz, dy)
-        px = marginal(j, "x").probs
-        pz = marginal(j, "z").probs
-        p1 = np.moveaxis(fc, 2, 1) * px[:, None, None] * pz[None, None, :]
-        p2 = px[:, None, None] * marginal(j, "yz").probs[None, :, :]
-    elif direction == "yx":
-        fc = filled_conditional(j, "x", "yz", s)  # (dy, dz, dx)
-        py = marginal(j, "y").probs
-        pz = marginal(j, "z").probs
-        p1 = np.moveaxis(fc, 2, 0) * py[None, :, None] * pz[None, None, :]
-        p2 = py[None, :, None] * marginal(j, "xz").probs[:, None, :]
-    else:
-        raise ValueError(f"direction must be 'xy' or 'yx', got {direction!r}")
-    return p1, p2
+    return evaluate_one(j, "rpmi", s)
 
 
 def icmi_oneway(j: Joint3, direction: str = "xy", s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """One-way independent CMI in bits (KL of the two-step pair); may be +inf."""
-    p1, p2 = _icmi_pair(j, direction, SparseStrategy.parse(s))
-    return kl_divergence(p1, p2)
+    if direction not in ("xy", "yx"):
+        raise ValueError(f"direction must be 'xy' or 'yx', got {direction!r}")
+    return evaluate_one(j, f"icmi_{direction}", s)
 
 
 @dataclass(frozen=True)
@@ -129,12 +84,8 @@ class RicmiResult:
 
 def ricmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> RicmiResult:
     """Regularized one-way ICMIs and their two-way average, each in [0, 1]."""
-    s = SparseStrategy.parse(s)
-    vals = {}
-    for direction in ("xy", "yx"):
-        p1, p2 = _icmi_pair(j, direction, s)
-        vals[direction] = math.sqrt(js_divergence(p1, p2))
-    return RicmiResult(xy=vals["xy"], yx=vals["yx"], two_way=0.5 * (vals["xy"] + vals["yx"]))
+    ctx = BatchContext(j.probs[None], s)
+    return RicmiResult(*(float(ctx.value(m)[0]) for m in ("ricmi_xy", "ricmi_yx", "ricmi_two")))
 
 
 @dataclass(frozen=True)
@@ -155,22 +106,13 @@ class RemovalReport:
     pmi_stratum_masses: tuple[float, ...]
 
 
+_REPORTED = ("cmi", "cmi_js", "rcmi", "pmi", "rpmi", "icmi_xy", "icmi_yx", "ricmi_xy", "ricmi_yx", "ricmi_two")
+
+
 def removal_report(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> RemovalReport:
-    s = SparseStrategy.parse(s)
-    q_pmi, masses = _q_pmi_with_masses(j, s)
-    js = cmi_js(j)
-    r = ricmi(j, s)
+    ctx = BatchContext(j.probs[None], s)
     return RemovalReport(
-        cmi=cmi(j),
-        cmi_js=js,
-        rcmi=math.sqrt(js),
-        pmi=kl_divergence(j, q_pmi),
-        rpmi=math.sqrt(js_divergence(j, q_pmi)),
-        icmi_xy=icmi_oneway(j, "xy", s),
-        icmi_yx=icmi_oneway(j, "yx", s),
-        ricmi_xy=r.xy,
-        ricmi_yx=r.yx,
-        ricmi_two=r.two_way,
-        strategy=s,
-        pmi_stratum_masses=tuple(float(m) for m in masses),
+        **{m: float(ctx.value(m)[0]) for m in _REPORTED},
+        strategy=ctx.strategy,
+        pmi_stratum_masses=tuple(float(m) for m in ctx.q_pmi()[1][0]),
     )

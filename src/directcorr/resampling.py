@@ -4,7 +4,10 @@ Each resample draws n records with replacement from the observed table,
 which for categorical triples is exactly a multinomial draw over the
 occupied cells.  Resample b uses the RNG stream seeded by the pair
 (seed, b), so results do not depend on evaluation order and resamples
-may safely run in parallel.
+may safely be drawn in parallel.  All resamples are then evaluated as one
+stack by the batched measure engine, which treats every resample exactly
+as ``registry.evaluate`` treats a single joint; a resample on which a
+measure is undefined comes back as NaN and is excluded for that measure.
 
 The interval is the empirical 2.5th / 97.5th percentile of the resampled
 values, interpolated linearly between order statistics at plotting
@@ -20,20 +23,16 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariable,
-    InvalidDistribution,
-    MeasureFailure,
-    SingleCategory,
-    SingularDenominator,
-)
+from .engine import measure_values
+from .errors import InvalidDistribution, MeasureFailure
 from .prob import Alphabet, Joint3
-from .registry import evaluate
+from .registry import evaluate, label_codes
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 from .totalcorr import DEFAULT_ENCODING, NumericEncoding
 
 RNG_ID = "numpy-pcg64/seedseq(seed,b)"
 MAX_EXCLUDED_FRACTION = 0.05
+STACK_CELLS = 2**18  # table cells evaluated per engine call; bounds memory for large B
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,23 +146,23 @@ def bootstrap_cis(
     n = obs.n
     full = obs.joint()
     points = {m: evaluate(full, m, s, enc) for m in measures}
-    values: dict[str, list[float]] = {m: [] for m in measures}
-    excluded = {m: 0 for m in measures}
-    for b in range(b_resamples):
-        cb = _resample_counts(counts, n, seed, b)
-        jb = Joint3(obs.alphabets, cb / n)
-        for m in measures:
-            try:
-                values[m].append(evaluate(jb, m, s, enc))
-            except (DegenerateVariable, SingularDenominator, SingleCategory):
-                excluded[m] += 1
+    codes = label_codes(obs.alphabets, measures, enc)
+    step = max(1, STACK_CELLS // counts.size)
+    chunks: dict[str, list[np.ndarray]] = {m: [] for m in measures}
+    for start in range(0, b_resamples, step):
+        draws = [_resample_counts(counts, n, seed, b) for b in range(start, min(start + step, b_resamples))]
+        for m, v in measure_values(np.stack(draws) / n, measures, s, codes).items():
+            chunks[m].append(v)
     out = {}
     for m in measures:
-        if excluded[m] > MAX_EXCLUDED_FRACTION * b_resamples:
+        values = np.concatenate(chunks[m])
+        kept = values[~np.isnan(values)]
+        excluded = b_resamples - kept.size
+        if excluded > MAX_EXCLUDED_FRACTION * b_resamples:
             raise MeasureFailure(
-                f"{excluded[m]}/{b_resamples} resamples left {m!r} undefined (> 5% excluded)"
+                f"{excluded}/{b_resamples} resamples left {m!r} undefined (> 5% excluded)"
             )
-        lo, hi = _percentile_pair(np.asarray(values[m]), len(values[m]))
+        lo, hi = _percentile_pair(kept, kept.size)
         out[m] = CiReport(
             measure=m,
             point=points[m],
@@ -172,7 +171,7 @@ def bootstrap_cis(
             b_resamples=b_resamples,
             seed=seed,
             rng=RNG_ID,
-            n_excluded=excluded[m],
+            n_excluded=excluded,
         )
     return out
 

@@ -1,4 +1,8 @@
-"""Total (not-necessarily-direct) correlation measures between X and Y."""
+"""Total (not-necessarily-direct) correlation measures between X and Y.
+
+The arithmetic lives in the batched engine (``engine.py``); these are its
+one-table calls on a Joint2 (or, for the partial correlation, a Joint3).
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,9 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVariable, SingularDenominator
-from .prob import Alphabet, Dist1, Joint2, Joint3, entropy, js_divergence, marginal
+from .engine import DEGENERATE, evaluate_one, mi_rows, pcc_rows, rmi_rows
+from .errors import DegenerateVariable
+from .prob import Alphabet, Joint2, Joint3
 
 
 @dataclass(frozen=True)
@@ -53,38 +58,25 @@ DEFAULT_ENCODING = NumericEncoding.ordinal()
 
 def pcc(j: Joint2, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
     """Pearson correlation coefficient of the two encoded variables, in [-1, 1]."""
-    xv = enc.codes(j.alphabets[0])
-    yv = enc.codes(j.alphabets[1])
-    p = j.probs
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    ex = float(px @ xv)
-    ey = float(py @ yv)
-    exy = float(xv @ p @ yv)
-    vx = float(px @ (xv * xv)) - ex * ex
-    vy = float(py @ (yv * yv)) - ey * ey
-    if vx <= 0 or vy <= 0:
-        raise DegenerateVariable("a variable is constant under its encoding; PCC undefined")
-    return (exy - ex * ey) / math.sqrt(vx * vy)
+    v = float(pcc_rows(j.probs[None], enc.codes(j.alphabets[0]), enc.codes(j.alphabets[1]))[0])
+    if math.isnan(v):
+        raise DegenerateVariable(DEGENERATE)
+    return v
 
 
 def partial_correlation(jxyz: Joint3, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
     """Direct linear correlation of X and Y with Z partialled out, in [-1, 1]."""
-    cxy = pcc(marginal(jxyz, "xy"), enc)  # type: ignore[arg-type]
-    cxz = pcc(marginal(jxyz, "xz"), enc)  # type: ignore[arg-type]
-    cyz = pcc(marginal(jxyz, "yz"), enc)  # type: ignore[arg-type]
-    dx = 1.0 - cxz * cxz
-    dy = 1.0 - cyz * cyz
-    if dx <= 0 or dy <= 0:
-        raise SingularDenominator("a conditioning correlation has magnitude 1; PC undefined")
-    return (cxy - cxz * cyz) / math.sqrt(dx * dy)
+    return evaluate_one(jxyz, "pc", codes=tuple(enc.codes(a) for a in jxyz.alphabets))
+
+
+def _mi_parts(j: Joint2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    p = j.probs[None]
+    return mi_rows(p, p.sum(axis=2), p.sum(axis=1))
 
 
 def mutual_information(j: Joint2) -> float:
     """Mutual information H(X) + H(Y) - H(X,Y), in bits (never negative)."""
-    hx = entropy(Dist1(j.alphabets[0], j.probs.sum(axis=1)))
-    hy = entropy(Dist1(j.alphabets[1], j.probs.sum(axis=0)))
-    return max(hx + hy - entropy(j), 0.0)
+    return float(_mi_parts(j)[0][0])
 
 
 @dataclass(frozen=True)
@@ -102,12 +94,8 @@ def normalized_mi(j: Joint2) -> NormalizedMi:
     A direction whose denominator entropy is zero carries no uncertainty
     to explain, so that component is defined as 0.
     """
-    mi = mutual_information(j)
-    hx = entropy(Dist1(j.alphabets[0], j.probs.sum(axis=1)))
-    hy = entropy(Dist1(j.alphabets[1], j.probs.sum(axis=0)))
-    to_y = mi / hy if hy > 0 else 0.0
-    to_x = mi / hx if hx > 0 else 0.0
-    return NormalizedMi(to_y=min(to_y, 1.0), to_x=min(to_x, 1.0), max=min(max(to_y, to_x), 1.0))
+    _, to_y, to_x = (float(v[0]) for v in _mi_parts(j))
+    return NormalizedMi(to_y=to_y, to_x=to_x, max=max(to_y, to_x))
 
 
 def regularized_mi(j: Joint2) -> float:
@@ -116,6 +104,5 @@ def regularized_mi(j: Joint2) -> float:
     Zero exactly when X and Y are independent; the supports of the joint
     and the product always overlap, so the value 1 is never attained.
     """
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-    return math.sqrt(js_divergence(j.probs, np.outer(px, py)))
+    p = j.probs[None]
+    return float(rmi_rows(p, p.sum(axis=2), p.sum(axis=1))[0])

@@ -10,11 +10,12 @@ from directcorr.bounds import (
     enumerate_couplings,
     rmi_max_uniform,
 )
-from directcorr.datasets import dataset_from_builtin
+from directcorr.datasets import builtin_berkeley_observations, dataset_from_builtin
 from directcorr.errors import ExplosionGuard, UnknownMeasure
 from directcorr.models import fig5_corpus
 from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import evaluate
+from directcorr.resampling import _resample_counts
 
 from conftest import random_joint
 
@@ -134,6 +135,21 @@ class TestAchievableBounds:
         bs = achievable_bounds(j)
         for m in BOUND_MEASURES:
             assert bs[m].max_value >= per[m].max() - 1e-12
+
+    def test_candidates_use_their_own_marginals(self):
+        # On full support the bound convention is the plain one, so each
+        # bootstrap resample must score exactly what evaluate gives it,
+        # although its p(x,z) differs from the base joint's.
+        obs = builtin_berkeley_observations()
+        j = obs.joint()
+        counts = obs.counts()
+        stack = np.stack([_resample_counts(counts, obs.n, 3, b) for b in range(40)]) / obs.n
+        assert np.all(stack > 0)
+        per = candidate_values(j, stack, BOUND_MEASURES)
+        for b in range(len(stack)):
+            jb = Joint3(j.alphabets, stack[b])
+            for m in BOUND_MEASURES:
+                assert per[m][b] == evaluate(jb, m, "b"), (m, b)
 
     def test_bound_dominates_value(self, rng):
         for _ in range(10):

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 
@@ -46,6 +47,28 @@ class TestAnalyze:
     def test_pc_omitted_for_berkeley(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "pcc,pc")
         assert code == 0
+        assert "pc omitted" in out
+
+    def test_bootstrap_skips_omitted_pc(self, capsys, tmp_path):
+        # Z is nominal and always equals X, so pc is undefined on the data
+        # and on every resample; the report omits it, so it is not resampled
+        cells = (("a", "no", 5), ("a", "yes", 3), ("b", "no", 2), ("b", "yes", 6))
+        rows = ["gx,gy,gz"] + [f"{x},{y},{x}" for x, y, k in cells for _ in range(k)]
+        data = tmp_path / "nominal.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        schema = tmp_path / "nominal.json"
+        schema.write_text(json.dumps({
+            "name": "nominal_z",
+            "csv": {"has_header": True},
+            "roles": {
+                "x": {"column": "gx", "categories": ["a", "b"]},
+                "y": {"column": "gy", "categories": ["no", "yes"]},
+                "z": {"column": "gz", "categories": ["a", "b"], "ordinal": False},
+            },
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--csv", str(data), "--schema", str(schema),
+                             "--measures", "pc,rmi", "--bootstrap", "50")
+        assert code == 0, err
         assert "pc omitted" in out
 
     def test_bounds_flag(self, capsys):

@@ -67,6 +67,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             j.probs[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "cls, shape", [(Dist1, (2,)), (Joint2, (2, 2)), (Joint3, (2, 2, 2))], ids=["Dist1", "Joint2", "Joint3"]
+    )
+    def test_nan_entry_rejected(self, cls, shape):
+        probs = np.full(shape, 1.0 / np.prod(shape))
+        probs.flat[0] = math.nan
+        alphabets = AB if cls is Dist1 else (AB,) * len(shape)
+        with pytest.raises(InvalidDistribution):
+            cls(alphabets, probs)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_from_counts_non_finite_rejected(self, bad):
+        counts = np.ones((2, 2, 2))
+        counts[0, 1, 0] = bad
+        with pytest.raises(InvalidDistribution):
+            from_counts(counts, (AB, AB, AB))
+
     def test_from_counts_zero_total(self):
         with pytest.raises(ZeroTotal):
             from_counts(np.zeros((2, 2, 2)), (AB, AB, AB))

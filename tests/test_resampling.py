@@ -2,15 +2,60 @@ import numpy as np
 import pytest
 
 from directcorr.datasets import builtin_titanic_observations
-from directcorr.errors import InvalidDistribution, MeasureFailure
-from directcorr.prob import Alphabet
-from directcorr.resampling import ObservationTable, bootstrap_ci, bootstrap_cis
+from directcorr.errors import (
+    DegenerateVariable,
+    InvalidDistribution,
+    MeasureFailure,
+    SingleCategory,
+    SingularDenominator,
+)
+from directcorr.prob import Alphabet, Joint3
+from directcorr.registry import MEASURES, evaluate
+from directcorr.resampling import (
+    ObservationTable,
+    _percentile_pair,
+    _resample_counts,
+    bootstrap_ci,
+    bootstrap_cis,
+)
 
 AB = Alphabet((0, 1))
 
 
 def table_from_counts(counts):
     return ObservationTable.from_counts(np.asarray(counts), (AB, AB, AB))
+
+
+def sparse_observations():
+    """Sparse 3x2x3 table: x = 2 never meets z = 0 (a filled cell), and y = 1
+    never meets x = 0, so the do-rows of x = 0 and x = 1 have disjoint
+    supports and ace_kl is +inf."""
+    counts = np.array([[[9, 5, 4], [0, 0, 0]],
+                       [[0, 6, 2], [5, 0, 7]],
+                       [[0, 0, 3], [0, 8, 0]]])
+    return ObservationTable.from_counts(counts, tuple(Alphabet.of_size(d) for d in counts.shape))
+
+
+# (observations, sparse strategy) per table; the sparse one runs under rule c
+TABLES = {"titanic": (builtin_titanic_observations, "b"), "sparse": (sparse_observations, "c")}
+
+
+def resample_values(obs, measure, b_resamples, seed, s="b"):
+    """Each resample's value through the single-joint evaluate; None where it is undefined."""
+    counts = obs.counts()
+    out = []
+    for b in range(b_resamples):
+        jb = Joint3(obs.alphabets, _resample_counts(counts, obs.n, seed, b) / obs.n)
+        try:
+            out.append(evaluate(jb, measure, s))
+        except (DegenerateVariable, SingularDenominator, SingleCategory):
+            out.append(None)
+    return out
+
+
+@pytest.fixture(scope="module")
+def titanic_all_ids():
+    return bootstrap_cis(builtin_titanic_observations(), list(MEASURES), 80, seed=9)
 
 
 class TestObservationTable:
@@ -64,18 +109,15 @@ class TestBootstrapCi:
         r = bootstrap_ci(t, "rmi", 50, seed=0)
         assert r.lower == r.point == r.upper
 
-    def test_b2_gives_min_max(self):
-        obs = builtin_titanic_observations()
-        r = bootstrap_ci(obs, "rmi", 2, seed=5)
-        from directcorr.registry import evaluate
-        from directcorr.prob import Joint3
-        from directcorr.resampling import _resample_counts
-
-        vals = []
-        counts = obs.counts()
-        for b in range(2):
-            cb = _resample_counts(counts, obs.n, 5, b)
-            vals.append(evaluate(Joint3(obs.alphabets, cb / obs.n), "rmi", "b"))
+    @pytest.mark.parametrize("table, measure", [(t, m) for t in TABLES for m in MEASURES])
+    def test_b2_gives_min_max(self, table, measure):
+        # every resample of the stack equals its own single-joint evaluation,
+        # fills and +inf values included
+        make, s = TABLES[table]
+        obs = make()
+        r = bootstrap_ci(obs, measure, 2, seed=5, s=s)
+        vals = resample_values(obs, measure, 2, 5, s)
+        assert r.n_excluded == 0
         assert r.lower == min(vals)
         assert r.upper == max(vals)
 
@@ -89,10 +131,10 @@ class TestBootstrapCi:
             r = bootstrap_ci(obs, m, 60, seed=3)
             assert r.lower <= r.upper
 
-    def test_shared_resamples_match_single_measure(self):
+    @pytest.mark.parametrize("measure", list(MEASURES))
+    def test_shared_resamples_match_single_measure(self, titanic_all_ids, measure):
         obs = builtin_titanic_observations()
-        multi = bootstrap_cis(obs, ("rmi", "rcmi"), 80, seed=9)
-        assert multi["rcmi"] == bootstrap_ci(obs, "rcmi", 80, seed=9)
+        assert titanic_all_ids[measure] == bootstrap_ci(obs, measure, 80, seed=9)
 
     def test_excluded_resamples_counted(self):
         # one rare X category: some resamples miss it entirely, so pcc
@@ -102,9 +144,14 @@ class TestBootstrapCi:
         counts[0, 1, 1] = 75
         counts[1, 1, 0] = 4
         t = table_from_counts(counts)
-        r = bootstrap_ci(t, "pcc", 400, seed=11)
-        assert 0 < r.n_excluded <= 0.05 * 400
-        assert np.isfinite(r.lower) and np.isfinite(r.upper)
+        for m in ("pcc", "pc"):
+            r = bootstrap_ci(t, m, 400, seed=11)
+            vals = resample_values(t, m, 400, 11)
+            kept = np.array([v for v in vals if v is not None])
+            assert 0 < r.n_excluded <= 0.05 * 400
+            assert r.n_excluded == vals.count(None)
+            assert (r.lower, r.upper) == _percentile_pair(kept, kept.size)
+            assert np.isfinite(r.lower) and np.isfinite(r.upper)
 
     def test_failure_when_exclusions_exceed_cutoff(self):
         counts = np.zeros((2, 2, 2), dtype=int)
