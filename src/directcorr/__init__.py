@@ -16,7 +16,6 @@ from .bounds import (
     CouplingIterator,
     achievable_bound,
     achievable_bounds,
-    enumerate_couplings,
     rmi_max_uniform,
 )
 from .datasets import (
@@ -26,7 +25,6 @@ from .datasets import (
     builtin_titanic,
     load_csv,
     load_schema,
-    to_joint,
 )
 from .docalc import (
     DoConditional,
@@ -50,11 +48,9 @@ from .models import (
 )
 from .prob import (
     Alphabet,
-    CondTable,
     Dist1,
     Joint2,
     Joint3,
-    conditional,
     entropy,
     from_counts,
     js_divergence,

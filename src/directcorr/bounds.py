@@ -26,16 +26,18 @@ keep the bound scale meaningful:
 f is irrelevant on zero-mass (x,z) cells, so those are canonicalized to
 y = 0 and only supported cells are enumerated; the enumeration refuses
 (rather than sampling) beyond the configured cap, because the bound is
-an exact maximum over the family.  Enumeration indices decode
-independently, so the index range can be partitioned across workers and
-reduced by max.
+an exact maximum over the family.  Couplings exist only as stacks: each
+chunk of enumeration indices is decoded into digits and built into one
+(n, d_X, d_Y, d_Z) stack, and the map f of the winning coupling is
+decoded from its index alone.  Indices decode independently, so the
+index range can be partitioned across workers and reduced by max.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,24 +76,19 @@ def rmi_max_uniform(k: int) -> float:
     return math.sqrt(max(inner, 0.0) / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """One deterministic map f:(x,z) -> y together with its induced joint."""
-
-    fmap: np.ndarray  # (d_X, d_Z) int; 0 on unsupported cells
-    joint: Joint3
-
-
 class CouplingIterator:
     """Enumerator over the deterministic couplings compatible with a base joint.
 
-    ``len()`` is the number of distinct couplings actually enumerated
-    (d_Y to the number of supported (x,z) cells); ``total_raw`` is the
-    naive count d_Y ** (d_X * d_Z) before canonicalization.
+    Coupling i assigns to the c-th supported (x,z) cell of ``cells`` the
+    c-th base-d_Y digit of i, least significant first.  ``len()`` is the
+    number of distinct couplings actually enumerated (d_Y to the number of
+    supported (x,z) cells); ``total_raw`` is the naive count
+    d_Y ** (d_X * d_Z) before canonicalization.  Couplings are produced a
+    chunk at a time: ``digits_chunk`` decodes an index range and
+    ``joints_chunk`` builds the matching stack of joints.
     """
 
     def __init__(self, base: Joint3, cap: int = DEFAULT_CAP):
-        self.base = base
         self.pxz = base.probs.sum(axis=1)
         self.d_x, self.d_y, self.d_z = base.shape
         self.cells: list[tuple[int, int]] = [
@@ -108,28 +105,8 @@ class CouplingIterator:
     def __len__(self) -> int:
         return self._count
 
-    def digits(self, index: int) -> list[int]:
-        out = []
-        for _ in self.cells:
-            out.append(index % self.d_y)
-            index //= self.d_y
-        return out
-
-    def at(self, index: int) -> Coupling:
-        if not 0 <= index < self._count:
-            raise IndexError(index)
-        fmap = np.zeros((self.d_x, self.d_z), dtype=int)
-        probs = np.zeros((self.d_x, self.d_y, self.d_z))
-        for (x, z), y in zip(self.cells, self.digits(index)):
-            fmap[x, z] = y
-            probs[x, y, z] = self.pxz[x, z]
-        fmap.setflags(write=False)
-        return Coupling(fmap=fmap, joint=Joint3(self.base.alphabets, probs))
-
-    def __iter__(self) -> Iterator[Coupling]:
-        return (self.at(i) for i in range(self._count))
-
     def digits_chunk(self, start: int, stop: int) -> np.ndarray:
+        """The y assigned to each supported cell by couplings start..stop-1; shape (n, len(cells))."""
         idx = np.arange(start, stop, dtype=np.int64)
         powers = self.d_y ** np.arange(len(self.cells), dtype=np.int64)
         return (idx[:, None] // powers[None, :]) % self.d_y
@@ -142,10 +119,6 @@ class CouplingIterator:
         for c, (x, z) in enumerate(self.cells):
             q[rng, x, digits[:, c], z] = self.pxz[x, z]
         return q
-
-
-def enumerate_couplings(j: Joint3, cap: int = DEFAULT_CAP) -> CouplingIterator:
-    return CouplingIterator(j, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -212,7 +185,9 @@ def achievable_bounds(
         idx = best_idx[m]
         fmap = None
         if idx is not None:
-            fm = it.at(idx).fmap
+            fm = np.zeros((it.d_x, it.d_z), dtype=int)  # y = 0 on unsupported cells
+            for (x, z), y in zip(it.cells, it.digits_chunk(idx, idx + 1)[0]):
+                fm[x, z] = y
             fmap = tuple(tuple(int(v) for v in row) for row in fm)
         out[m] = BoundReport(
             measure=m, max_value=best[m], argmax_fmap=fmap, n_enumerated=n

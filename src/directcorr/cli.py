@@ -8,6 +8,7 @@ csv|json writes machine-readable files; stderr carries caveats.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -59,6 +60,8 @@ def _parse_measures(text: str | None, default=TABLE_MEASURES) -> list[str]:
     if not text or text == "all":
         return list(default)
     ids = [m.strip() for m in text.split(",") if m.strip()]
+    if not ids:
+        raise ValueError(f"--measures {text!r} names no measure")
     for m in ids:
         get_measure(m)
     return ids
@@ -78,6 +81,8 @@ def _resolve_dataset(args) -> Dataset:
             )
         return dataset_from_builtin(args.builtin)
     if args.csv:
+        if not args.schema:
+            raise ValueError("--csv needs --schema")
         schema = load_schema(args.schema)
         ds, report = dataset_from_csv(args.csv, schema)
         if report.n_skipped:
@@ -86,7 +91,7 @@ def _resolve_dataset(args) -> Dataset:
                 file=sys.stderr,
             )
         return ds
-    raise SystemExit("one of --builtin or --csv is required")
+    raise ValueError("one of --builtin or --csv is required")
 
 
 def _emit(reports: list[MeasureReport], args) -> None:
@@ -192,7 +197,7 @@ def _sweep_params(args) -> dict[str, float]:
     fixed = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects name=value, got {item!r}")
+            raise ValueError(f"--set expects name=value, got {item!r}")
         k, v = item.split("=", 1)
         fixed[k.strip()] = float(v)
     return fixed
@@ -203,16 +208,16 @@ def cmd_sweep(args) -> int:
     fixed = _sweep_params(args)
     grid = np.linspace(args.start, args.stop, args.points)
     strategy = SparseStrategy.parse(args.strategy)
+    params_type, model = {
+        "simple": (SimpleParams, simple_model_joint),
+        "decision": (DecisionParams, decision_model_joint),
+    }[args.model]
+    names = sorted(f.name for f in dataclasses.fields(params_type))
+    if sorted({*fixed, args.sweep}) != names:
+        raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
     rows = []
     for value in grid:
-        params = dict(fixed)
-        params[args.sweep] = float(value)
-        if args.model == "simple":
-            joint = simple_model_joint(SimpleParams(**params))
-        elif args.model == "decision":
-            joint = decision_model_joint(DecisionParams(**params))
-        else:
-            raise SystemExit(f"unknown model {args.model!r}; choose simple or decision")
+        joint = model(params_type(**fixed, **{args.sweep: float(value)}))
         for m in measures:
             rows.append((args.sweep, float(value), m, evaluate(joint, m, strategy)))
     header = "param,param_value,measure,value"

@@ -10,13 +10,16 @@ CSV ingestion is driven by a :class:`DatasetSchema`: column names or
 indices for the three roles, raw-value maps, optional binning rules, and
 numeric encodings for the linear measures.  Category order is fixed by
 the schema declaration, not by file order, so alphabets stay stable
-across resamples.  The library only ever reads local files.
+across resamples.  Each usable row is tallied straight into the count
+table of an :class:`ObservationTable`; skipped rows are counted by the
+:class:`LoadReport`.  The library only ever reads local files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,11 +38,6 @@ ENV_DATA_DIR = "DIRECTCORR_DATA"
 
 def data_dir() -> Path:
     return Path(os.environ.get(ENV_DATA_DIR, "data"))
-
-
-def to_joint(obs: ObservationTable) -> Joint3:
-    """Empirical joint distribution of an observation table (counts / n)."""
-    return obs.joint()
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def builtin_berkeley() -> Joint3:
 
 
 def builtin_berkeley_observations() -> ObservationTable:
-    return ObservationTable.from_counts(berkeley_counts(), BERKELEY_ALPHABETS)
+    return ObservationTable(BERKELEY_ALPHABETS, berkeley_counts())
 
 
 # Titanic training split (n = 891): survivors / totals by class and sex.
@@ -118,7 +116,7 @@ def builtin_titanic() -> Joint3:
 
 
 def builtin_titanic_observations() -> ObservationTable:
-    return ObservationTable.from_counts(titanic_counts(), TITANIC_ALPHABETS)
+    return ObservationTable(TITANIC_ALPHABETS, titanic_counts())
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +276,15 @@ def _resolve_columns(schema: DatasetSchema, header: list[str] | None) -> list[in
 
 
 def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadReport:
-    """Load a CSV per the schema; invalid rows are skipped and counted (or raise, per policy)."""
+    """Load a CSV per the schema; invalid rows are skipped and counted (or raise, per policy).
+
+    Rows are tallied straight into the count table, so memory does not grow
+    with the number of rows.
+    """
     alphabets = schema.alphabets()
+    shape = tuple(a.size for a in alphabets)
     index_of = [{lab: i for i, lab in enumerate(a.labels)} for a in alphabets]
-    codes: list[tuple[int, int, int]] = []
+    tally = [0] * math.prod(shape)  # flat (x, y, z) cell -> count
     n_skipped = 0
     examples: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -299,24 +302,26 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
                 n_skipped += 1
                 continue
             try:
-                triple = []
-                for spec, ci, idx in zip(schema.roles, cols, index_of):
+                cell = 0
+                for spec, ci, idx, d in zip(schema.roles, cols, index_of, shape):
                     raw = row[ci].strip() if schema.strip else row[ci]
                     label = spec.to_label(raw)
                     if label not in idx:
                         raise UnknownCategory(f"{label!r} not among declared categories")
-                    triple.append(idx[label])
-                codes.append(tuple(triple))  # type: ignore[arg-type]
+                    cell = cell * d + idx[label]
             except UnknownCategory as exc:
                 if schema.on_unmapped == "error":
                     raise
                 n_skipped += 1
                 if len(examples) < 5:
                     examples.append(str(exc))
-    if not codes:
+                continue
+            tally[cell] += 1
+    n_rows = sum(tally)
+    if not n_rows:
         raise EmptyAfterFiltering(f"{path}: no usable rows for schema {schema.name!r}")
-    table = ObservationTable(alphabets=alphabets, codes=np.asarray(codes, dtype=np.int64))
-    return LoadReport(table=table, n_rows=len(codes), n_skipped=n_skipped, skipped_examples=tuple(examples))
+    table = ObservationTable(alphabets, np.array(tally, dtype=np.int64).reshape(shape))
+    return LoadReport(table=table, n_rows=n_rows, n_skipped=n_skipped, skipped_examples=tuple(examples))
 
 
 def load_csv(path: str | os.PathLike, schema: DatasetSchema) -> ObservationTable:

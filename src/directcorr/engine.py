@@ -111,26 +111,30 @@ PAIR_KERNELS: dict[str, tuple[Callable, bool]] = {
 }
 
 
-def pair_max(rows: np.ndarray, measure: str) -> tuple[np.ndarray, np.ndarray]:
-    """Largest contrast between the do-rows of each (n, d_X, d_Y) stack, and where it is attained.
+PAIR_RTOL = 1e-12
 
-    Ordered pairs (x, x') are scanned in lexicographic order and the first
-    pair attaining the maximum wins; a symmetric contrast only visits
-    x < x', which finds the same value and the same first pair.  Values
-    are NaN when d_X < 2 (no pair to contrast).
+
+def pair_max(rows: np.ndarray, measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Largest contrast between the do-rows of each (n, d_X, d_Y) stack, and a pair attaining it.
+
+    The value is the strict maximum over ordered pairs (x, x').  The pair
+    is the first, in lexicographic order, whose value lies within a
+    relative ``PAIR_RTOL`` of that maximum, so pairs that tie in exact
+    arithmetic (with a two-outcome Y, ace(x, x') = ace(x', x)) report the
+    same pair whatever the rounding; an infinite maximum is matched only
+    by itself.  A symmetric contrast only visits x < x', which finds the
+    same value and the same first pair.  Values are NaN when d_X < 2 (no
+    pair to contrast).
     """
     kernel, symmetric = PAIR_KERNELS[measure]
     n, d = rows.shape[:2]
-    best = np.full(n, -math.inf if d > 1 else math.nan)
-    pair = np.zeros((n, 2), dtype=int)
-    for i in range(d):
-        for k in range(i + 1 if symmetric else 0, d):
-            if i == k:
-                continue
-            v = kernel(rows[:, i], rows[:, k])
-            better = v > best
-            best = np.where(better, v, best)
-            pair[better] = (i, k)
+    pairs = [(i, k) for i in range(d) for k in range(i + 1 if symmetric else 0, d) if i != k]
+    if not pairs:
+        return np.full(n, math.nan), np.zeros((n, 2), dtype=int)
+    vals = np.stack([kernel(rows[:, i], rows[:, k]) for i, k in pairs], axis=1)
+    best = vals.max(axis=1)
+    floor = np.minimum(best * (1.0 - PAIR_RTOL), best * (1.0 + PAIR_RTOL))  # best - rtol |best|; inf stays inf
+    pair = np.array(pairs)[(vals >= floor[:, None]).argmax(axis=1)]
     if measure == "ace":
         best = np.maximum(best, 0.0)
     return best, pair

@@ -136,31 +136,6 @@ class Joint3:
         return self.probs.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True, eq=False)
-class CondTable:
-    """Conditional distribution of one target variable given a set of conditioning axes.
-
-    ``table[c..., t]`` holds p(target = t | cond = c) and has one trailing
-    axis for the target. ``defined[c...]`` is False exactly where the
-    conditioning cell has zero probability; entries of undefined cells are
-    stored as zeros and must not be read without consulting the mask.
-    Filling undefined cells is the sparse-strategy module's job.
-    """
-
-    target: Alphabet
-    cond_axes: str
-    table: np.ndarray
-    defined: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float)
-        d = np.asarray(self.defined, dtype=bool)
-        t.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "defined", d)
-
-
 Distribution = Union[Dist1, Joint2, Joint3, np.ndarray]
 
 
@@ -201,35 +176,6 @@ def marginal(j: Joint3, keep: str) -> Dist1 | Joint2:
     if len(kept) == 1:
         return Dist1(alphas[0], arr)
     return Joint2(alphas, arr)  # type: ignore[arg-type]
-
-
-def conditional(j: Joint3, target: str, given: str) -> CondTable:
-    """Conditional p(target | given) with a defined-mask over conditioning cells.
-
-    Undefinedness is represented, never raised: cells whose conditioning
-    probability is zero are masked out and carry zero entries.
-    """
-    target = target.lower()
-    given_axes = _axes_to_keep(given)
-    t_axis = AXES.index(target)
-    if t_axis in given_axes:
-        raise ValueError("target axis must be disjoint from the conditioning axes")
-    # Reorder to (given..., target) then sum out any remaining axis.
-    rest = tuple(i for i in range(3) if i != t_axis and i not in given_axes)
-    perm = given_axes + rest + (t_axis,)
-    arr = j.probs.transpose(perm)
-    if rest:
-        arr = arr.sum(axis=tuple(range(len(given_axes), len(given_axes) + len(rest))))
-    cond_mass = arr.sum(axis=-1)
-    defined = cond_mass > 0
-    safe = np.where(defined[..., None], np.where(cond_mass[..., None] > 0, cond_mass[..., None], 1.0), 1.0)
-    table = np.where(defined[..., None], arr / safe, 0.0)
-    return CondTable(
-        target=j.alphabets[t_axis],
-        cond_axes="".join(sorted(given.lower(), key=AXES.index)),
-        table=table,
-        defined=defined,
-    )
 
 
 def _axes(p: np.ndarray) -> tuple[int, ...]:

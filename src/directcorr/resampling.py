@@ -1,12 +1,14 @@
-"""Nonparametric bootstrap confidence intervals over observation-level records.
+"""Nonparametric bootstrap confidence intervals over a table of observed counts.
 
-Each resample draws n records with replacement from the observed table,
-which for categorical triples is exactly a multinomial draw over the
-occupied cells.  Resample b uses the RNG stream seeded by the pair
-(seed, b), so results do not depend on evaluation order and resamples
-may safely be drawn in parallel.  All resamples are then evaluated as one
-stack by the batched measure engine, which treats every resample exactly
-as ``registry.evaluate`` treats a single joint; a resample on which a
+Observations are stored as their (d_X, d_Y, d_Z) count table, the
+sufficient statistic of categorical triples.  Each resample is a
+multinomial draw of n observations over the cells of that table, which
+is exactly what drawing n observations with replacement would give.
+Resample b uses the RNG stream seeded by the pair (seed, b), so results
+do not depend on evaluation order and resamples may safely be drawn in
+parallel.  All resamples are then evaluated as one stack by the batched
+measure engine, which treats every resample exactly as
+``registry.evaluate`` treats a single joint; a resample on which a
 measure is undefined comes back as NaN and is excluded for that measure.
 
 The interval is the empirical 2.5th / 97.5th percentile of the resampled
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .engine import measure_values
-from .errors import InvalidDistribution, MeasureFailure
-from .prob import Alphabet, Joint3
+from .errors import InvalidDistribution, MeasureFailure, ZeroTotal
+from .prob import Alphabet, Joint3, from_counts
 from .registry import evaluate, label_codes
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 from .totalcorr import DEFAULT_ENCODING, NumericEncoding
@@ -37,54 +39,48 @@ STACK_CELLS = 2**18  # table cells evaluated per engine call; bounds memory for 
 
 @dataclass(frozen=True, eq=False)
 class ObservationTable:
-    """Raw categorical records (x, y, z), index-coded against fixed alphabets."""
+    """Observed categorical triples (x, y, z) as a (d_X, d_Y, d_Z) table of integer counts.
+
+    Memory is one int64 per cell, whatever the number of observations.
+    """
 
     alphabets: tuple[Alphabet, Alphabet, Alphabet]
-    codes: np.ndarray  # (n, 3) int
+    count_table: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.codes, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-            raise InvalidDistribution(f"codes must be a nonempty (n, 3) array, got {arr.shape}")
-        for axis, alphabet in enumerate(self.alphabets):
-            col = arr[:, axis]
-            if col.min() < 0 or col.max() >= alphabet.size:
-                raise InvalidDistribution(f"axis {axis} codes outside alphabet of size {alphabet.size}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "codes", arr)
+        alphabets = tuple(self.alphabets)
+        shape = tuple(a.size for a in alphabets)
+        arr = np.asarray(self.count_table)
+        if arr.dtype.kind not in "iuf" or arr.shape != shape:
+            raise InvalidDistribution(
+                f"expected a numeric count table of shape {shape}, got {arr.dtype} of shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise InvalidDistribution("non-finite count")
+        if np.any(arr < 0):
+            raise InvalidDistribution("negative count")
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+        if np.any(ints != arr):
+            raise InvalidDistribution("counts must be whole numbers below 2**63")
+        total = sum(ints.ravel().tolist())  # Python ints: an overflowing total is caught, not wrapped
+        if total == 0:
+            raise ZeroTotal("count table is all zeros")
+        if total >= 2**63:
+            raise InvalidDistribution(f"{total} observations do not fit in int64")
+        ints.setflags(write=False)
+        object.__setattr__(self, "alphabets", alphabets)
+        object.__setattr__(self, "count_table", ints)
 
     @property
     def n(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def records(self) -> list[tuple[Hashable, Hashable, Hashable]]:
-        labs = [a.labels for a in self.alphabets]
-        return [(labs[0][i], labs[1][k], labs[2][m]) for i, k, m in self.codes]
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[tuple[Hashable, Hashable, Hashable]], alphabets: Sequence[Alphabet]
-    ) -> "ObservationTable":
-        alphabets = tuple(alphabets)
-        idx = [{lab: i for i, lab in enumerate(a.labels)} for a in alphabets]
-        codes = np.array([[idx[0][r[0]], idx[1][r[1]], idx[2][r[2]]] for r in records], dtype=np.int64)
-        return cls(alphabets=alphabets, codes=codes)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_counts(cls, counts, alphabets: Sequence[Alphabet]) -> "ObservationTable":
-        counts = np.asarray(counts, dtype=np.int64)
-        triples = np.argwhere(counts > 0)
-        codes = np.repeat(triples, counts[counts > 0], axis=0)
-        return cls(alphabets=tuple(alphabets), codes=codes)  # type: ignore[arg-type]
+        return int(self.count_table.sum())
 
     def counts(self) -> np.ndarray:
-        shape = tuple(a.size for a in self.alphabets)
-        flat = np.ravel_multi_index((self.codes[:, 0], self.codes[:, 1], self.codes[:, 2]), shape)
-        return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+        return self.count_table
 
     def joint(self) -> Joint3:
-        return Joint3(self.alphabets, self.counts() / self.n)
+        return from_counts(self.count_table, self.alphabets)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,15 @@ out of missing cells.  Where Z itself has zero mass, rule ``c`` falls
 back to the unconditional marginal; such strata always end up multiplied
 by p(z) = 0 in every reconstruction, so the fallback never reaches any
 measure value.
+
+This module only names the rules; they are applied in one place, the
+measure engine's filled conditionals ``BatchContext.ycond`` (p(y | x,z))
+and ``BatchContext.xcond`` (p(x | y,z)).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-import numpy as np
-
-from .prob import AXES, Joint3, conditional, marginal
 
 
 class SparseStrategy(Enum):
@@ -40,43 +40,3 @@ class SparseStrategy(Enum):
 
 
 DEFAULT_STRATEGY = SparseStrategy.MARGINAL
-
-
-def filled_conditional(
-    j: Joint3, target: str, given: str, strategy: SparseStrategy = DEFAULT_STRATEGY
-) -> np.ndarray:
-    """Conditional table p(target | given) with undefined cells filled per ``strategy``.
-
-    Returns an array of shape (given dims ..., d_target) in which every
-    conditioning cell holds a valid distribution over the target.
-    """
-    strategy = SparseStrategy.parse(strategy)
-    cond = conditional(j, target, given)
-    d_t = cond.target.size
-    cond_ndim = cond.defined.ndim
-
-    if strategy is SparseStrategy.UNIFORM:
-        fill = np.full((1,) * cond_ndim + (d_t,), 1.0 / d_t)
-    elif strategy is SparseStrategy.MARGINAL:
-        fill = marginal(j, target).probs.reshape((1,) * cond_ndim + (d_t,))
-    else:
-        if "z" not in cond.cond_axes:
-            raise ValueError("strategy 'c' conditions the fill on z; conditioning set must include z")
-        # p(target | z), defaulting to p(target) in zero-mass strata.
-        tz = marginal(j, target + "z").probs  # axes (target, z), canonical order puts z last
-        pz = tz.sum(axis=0)
-        pt = marginal(j, target).probs
-        cm = np.where(pz[None, :] > 0, tz / np.where(pz[None, :] > 0, pz[None, :], 1.0), pt[:, None])
-        # Broadcast p(target | z) over the non-z conditioning axes.
-        z_pos = cond.cond_axes.index("z")
-        shape = [1] * cond_ndim + [d_t]
-        shape[z_pos] = cm.shape[1]
-        fill = np.moveaxis(cm, 0, -1).reshape(shape)
-
-    return np.where(cond.defined[..., None], cond.table, fill)
-
-
-def stratum_axis(given: str) -> int:
-    """Position of the z axis within a canonical conditioning-axis string."""
-    axes = "".join(sorted(given.lower(), key=AXES.index))
-    return axes.index("z")

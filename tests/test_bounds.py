@@ -7,7 +7,6 @@ from directcorr.bounds import (
     achievable_bound,
     achievable_bounds,
     candidate_values,
-    enumerate_couplings,
     rmi_max_uniform,
 )
 from directcorr.datasets import builtin_berkeley_observations, dataset_from_builtin
@@ -48,52 +47,64 @@ class TestRmiMaxUniform:
             rmi_max_uniform(0)
 
 
+def all_couplings(it: CouplingIterator) -> tuple[np.ndarray, np.ndarray]:
+    """Digits and joints of every coupling, as one chunk."""
+    digits = it.digits_chunk(0, len(it))
+    return digits, it.joints_chunk(digits)
+
+
 class TestCouplingIterator:
     def test_titanic_count(self):
-        it = enumerate_couplings(dataset_from_builtin("titanic").joint)
+        it = CouplingIterator(dataset_from_builtin("titanic").joint)
         assert len(it) == 64
         assert it.total_raw == 64
 
     def test_berkeley_count(self):
-        it = enumerate_couplings(dataset_from_builtin("berkeley").joint)
+        it = CouplingIterator(dataset_from_builtin("berkeley").joint)
         assert len(it) == 4096
 
     def test_single_y_category(self, rng):
         j = random_joint(rng, (3, 1, 2))
-        assert len(enumerate_couplings(j)) == 1
+        assert len(CouplingIterator(j)) == 1
 
     def test_sparse_support_canonicalized(self):
         _, j = fig5_corpus()[0]  # only two of four (x,z) cells are supported
-        it = enumerate_couplings(j)
+        it = CouplingIterator(j)
         assert it.total_raw == 16
         assert len(it) == 4
-        for c in it:
-            assert np.all(c.fmap[0, 1] == 0) and np.all(c.fmap[1, 0] == 0)
+        assert it.cells == [(0, 0), (1, 1)]
+        _, q = all_couplings(it)
+        # unsupported cells carry no mass in any coupling
+        assert np.all(q[:, 0, :, 1] == 0) and np.all(q[:, 1, :, 0] == 0)
 
     def test_each_coupling_preserves_pxz_exactly(self, rng):
         j = random_joint(rng, (2, 3, 2), alpha=0.4)
         pxz = j.probs.sum(axis=1)
-        for c in enumerate_couplings(j):
-            assert np.array_equal(c.joint.probs.sum(axis=1), pxz)
-            # deterministic: one y per supported cell
-            assert np.all((c.joint.probs > 0).sum(axis=1) <= 1)
+        digits, q = all_couplings(CouplingIterator(j))
+        assert np.array_equal(q.sum(axis=2), np.broadcast_to(pxz, (len(q),) + pxz.shape))
+        # deterministic: one y per supported cell, the one its digit names
+        assert np.all((q > 0).sum(axis=2) <= 1)
+        for c, (x, z) in enumerate(CouplingIterator(j).cells):
+            assert np.all(q[np.arange(len(q)), x, digits[:, c], z] == pxz[x, z])
 
     def test_couplings_distinct(self, rng):
         j = random_joint(rng, (2, 2, 2))
-        seen = {tuple(c.joint.probs.reshape(-1)) for c in enumerate_couplings(j)}
-        assert len(seen) == 16
+        _, q = all_couplings(CouplingIterator(j))
+        assert len({tuple(c.reshape(-1)) for c in q}) == 16
 
     def test_explosion_guard(self, rng):
         j = random_joint(rng, (3, 3, 3))
         with pytest.raises(ExplosionGuard):
-            enumerate_couplings(j, cap=100)
+            CouplingIterator(j, cap=100)
 
     def test_chunked_digits_match_scalar(self, rng):
-        j = random_joint(rng, (2, 2, 2))
-        it = enumerate_couplings(j)
+        # every index decodes on its own, as the argmax map is decoded
+        j = random_joint(rng, (2, 3, 2))
+        it = CouplingIterator(j)
         digits = it.digits_chunk(0, len(it))
         for i in range(len(it)):
-            assert list(digits[i]) == it.digits(i)
+            assert np.array_equal(it.digits_chunk(i, i + 1)[0], digits[i])
+            assert i == sum(int(d) * it.d_y**c for c, d in enumerate(digits[i]))
 
 
 class TestAchievableBounds:
@@ -129,12 +140,22 @@ class TestAchievableBounds:
 
     def test_max_dominates_each_candidate(self, rng):
         j = random_joint(rng, (2, 2, 2), alpha=0.7)
-        it = enumerate_couplings(j)
-        stack = it.joints_chunk(it.digits_chunk(0, len(it)))
+        _, stack = all_couplings(CouplingIterator(j))
         per = candidate_values(j, stack, BOUND_MEASURES)
         bs = achievable_bounds(j)
         for m in BOUND_MEASURES:
             assert bs[m].max_value >= per[m].max() - 1e-12
+
+    def test_argmax_fmap_attains_max(self):
+        j = dataset_from_builtin("berkeley").joint
+        pxz = j.probs.sum(axis=1)
+        for m, r in achievable_bounds(j).items():
+            if r.argmax_fmap is None:
+                continue
+            q = np.zeros(j.shape)
+            for (x, z), y in np.ndenumerate(np.array(r.argmax_fmap)):
+                q[x, y, z] = pxz[x, z]
+            assert candidate_values(j, q[None], [m])[m][0] == r.max_value, m
 
     def test_candidates_use_their_own_marginals(self):
         # On full support the bound convention is the plain one, so each

@@ -14,6 +14,26 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--csv", "any.csv"),
+        ("analyze", "--builtin", "berkeley", "--measures", ","),
+        ("bounds", "--builtin", "berkeley", "--measures", ","),
+        ("analyze", "--measures", "rmi"),
+        ("sweep", "--model", "simple", "--set", "lam0", "--sweep", "lam1"),
+        ("sweep", "--model", "simple", "--set", "lam9=0.5", "--sweep", "lam1"),
+    ],
+    ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
+         "set-without-value", "set-unknown-parameter"],
+)
+def test_usage_error_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_berkeley_values(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "rmi,rcmi")

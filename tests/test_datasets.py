@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from directcorr.datasets import (
     load_csv_report,
     load_schema,
     titanic_counts,
-    to_joint,
 )
 from directcorr.errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
 from directcorr.prob import marginal
@@ -137,14 +138,14 @@ class TestLoadCsv:
         assert report.n_rows == 891
         assert report.n_skipped == 0
         assert np.array_equal(report.table.counts(), titanic_counts())
-        assert np.allclose(to_joint(report.table).probs, builtin_titanic().probs, atol=1e-15)
+        assert np.allclose(report.table.joint().probs, builtin_titanic().probs, atol=1e-15)
 
     def test_deterministic(self, tmp_path):
         csv_path = synthesize_titanic_csv(tmp_path / "titanic.csv")
         schema = load_schema("titanic")
         a = load_csv(csv_path, schema)
         b = load_csv(csv_path, schema)
-        assert np.array_equal(a.codes, b.codes)
+        assert np.array_equal(a.counts(), b.counts())
 
     def test_adult_raw_format(self, tmp_path):
         path = tmp_path / "adult.data"
@@ -152,10 +153,12 @@ class TestLoadCsv:
         schema = load_schema("adult")
         table = load_csv(path, schema)
         assert table.n == 5
+        counts = table.counts()
+        x, y, z = table.alphabets
         # education groups: Bachelors->2 (x2), HS-grad->1, Doctorate->3, 11th->0
-        assert sorted(r[0] for r in table.records) == [0, 1, 2, 2, 3]
-        assert sum(1 for r in table.records if r[1] == ">50K") == 2
-        assert sum(1 for r in table.records if r[2] == "Female") == 2
+        assert [counts[x.index(g)].sum() for g in (0, 1, 2, 3)] == [1, 1, 2, 1]
+        assert counts[:, y.index(">50K"), :].sum() == 2
+        assert counts[:, :, z.index("Female")].sum() == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "nothing.csv"
@@ -197,12 +200,28 @@ class TestLoadCsv:
         with pytest.raises(EmptyAfterFiltering):
             load_csv(path, load_schema("titanic"))
 
-    def test_to_joint_marginals_match_column_frequencies(self, tmp_path):
+    def test_joint_marginals_match_column_frequencies(self, tmp_path):
         csv_path = synthesize_titanic_csv(tmp_path / "titanic.csv")
         table = load_csv(csv_path, load_schema("titanic"))
-        j = to_joint(table)
-        class_counts = np.bincount(table.codes[:, 0], minlength=3)
-        assert np.allclose(marginal(j, "x").probs, class_counts / table.n, atol=1e-15)
+        j = table.joint()
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            pclass = [row["Pclass"] for row in csv.DictReader(fh)]
+        class_counts = [pclass.count(c) for c in TITANIC_ALPHABETS[0].labels]
+        assert np.allclose(marginal(j, "x").probs, np.array(class_counts) / table.n, atol=1e-15)
+
+    def test_counts_tallied_per_cell(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "Pclass,Survived,Sex\n3,0,male\n1,1,female\n3,0,male\n9,0,male\n3\n3,1,male\n",
+            encoding="utf-8",
+        )
+        report = load_csv_report(path, load_schema("titanic"))
+        expected = np.zeros((3, 2, 2), dtype=np.int64)
+        expected[2, 0, 1] = 2
+        expected[0, 1, 0] = 1
+        expected[2, 1, 1] = 1
+        assert np.array_equal(report.table.counts(), expected)
+        assert (report.n_rows, report.n_skipped) == (4, 2)
 
 
 class TestSchemas:

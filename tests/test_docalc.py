@@ -136,6 +136,14 @@ class TestPairwiseMeasures:
         dc = do_conditional(titanic, "b")
         assert argmax_pair(dc, "nace") == (0, 2)
 
+    def test_tied_pairs_report_the_first(self):
+        # with a two-outcome Y, ace(x, x') = ace(x', x) exactly, but the
+        # computed pair differs by rounding; the first pair wins the tie
+        dc = do_conditional(dataset_from_builtin("berkeley").joint, "b")
+        for m in ("ace", "nace", "race"):
+            assert argmax_pair(dc, m) == (0, 1), m
+        assert argmax_pair(rows_of((1.0, 0.0), (0.0, 1.0)), "ace_kl") == (0, 1)  # ties at +inf
+
     def test_nace_zero_iff_race_zero(self, rng):
         for _ in range(20):
             j = random_joint(rng, (3, 2, 2), alpha=0.5)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from directcorr.engine import BatchContext
 from directcorr.errors import InvalidDistribution, ShapeMismatch, UnknownCategory, ZeroTotal
 from directcorr.prob import (
     Alphabet,
     Dist1,
     Joint2,
     Joint3,
-    conditional,
     entropy,
     from_counts,
     js_divergence,
@@ -126,15 +126,18 @@ class TestMarginal:
 
 
 class TestConditional:
-    def test_zero_mass_cell_is_masked_not_raised(self):
+    """The engine's filled conditionals p(y | x,z) and p(x | y,z) of one joint."""
+
+    def test_zero_mass_cell_is_filled_not_raised(self):
         probs = np.zeros((2, 2, 2))
         probs[0, 0, 0] = 0.5
         probs[1, 1, 1] = 0.5
-        j = Joint3((AB, AB, AB), probs)
-        c = conditional(j, "y", "xz")
-        assert not c.defined[0, 1]
-        assert not c.defined[1, 0]
-        assert c.defined[0, 0] and c.defined[1, 1]
+        ycond = BatchContext(Joint3((AB, AB, AB), probs).probs[None], "b").ycond[0]
+        # (x, z) = (0, 1) and (1, 0) have no mass: filled with p(y) under rule b
+        assert np.array_equal(ycond[0, :, 1], [0.5, 0.5])
+        assert np.array_equal(ycond[1, :, 0], [0.5, 0.5])
+        assert np.array_equal(ycond[0, :, 0], [1.0, 0.0])
+        assert np.array_equal(ycond[1, :, 1], [0.0, 1.0])
 
     def test_independent_joint_conditional_equals_marginal(self, rng):
         px = rng.dirichlet(np.ones(2))
@@ -144,24 +147,27 @@ class TestConditional:
             (AB, Alphabet.of_size(3), AB),
             px[:, None, None] * py[None, :, None] * pz[None, None, :],
         )
-        c = conditional(j, "y", "xz")
-        assert c.defined.all()
-        assert np.allclose(c.table, py[None, None, :])
+        ycond = BatchContext(j.probs[None]).ycond[0]  # (x, y, z)
+        assert np.allclose(ycond, py[None, :, None])
 
     def test_deterministic_identity(self):
         probs = np.zeros((2, 2, 1))
         probs[0, 0, 0] = 0.3
         probs[1, 1, 0] = 0.7
         j = Joint3((AB, AB, Alphabet.of_size(1)), probs)
-        c = conditional(j, "y", "x")
-        assert np.allclose(c.table, np.eye(2))
+        assert np.allclose(BatchContext(j.probs[None]).ycond[0, :, :, 0], np.eye(2))
 
     def test_defined_rows_normalized(self, rng):
         j = random_joint(rng, (3, 2, 2), alpha=0.3)
-        c = conditional(j, "x", "yz")
-        sums = c.table.sum(axis=-1)
-        assert np.allclose(sums[c.defined], 1.0)
-        assert np.all(sums[~c.defined] == 0.0)
+        probs = np.where(j.probs < 0.05, 0.0, j.probs)  # empty some (y, z) cells
+        probs[:, 0, 0] = 0.0
+        probs /= probs.sum()
+        ctx = BatchContext(probs[None], "b")
+        xcond = ctx.xcond[0]  # (x, y, z)
+        defined = probs.sum(axis=0) > 0
+        assert np.allclose(xcond.sum(axis=0)[defined], 1.0)
+        # empty (y, z) cells hold the rule-b fill, p(x)
+        assert (~defined).any() and np.all(xcond[:, ~defined] == ctx.px[0][:, None])
 
 
 class TestEntropy:

@@ -11,7 +11,8 @@ from directcorr.docalc import do_conditional, do_joint
 from directcorr.prob import Alphabet, Joint3, marginal
 from directcorr.registry import MEASURES, evaluate
 from directcorr.removal import reconstruct_q_cmi, reconstruct_q_pmi
-from directcorr.sparse import SparseStrategy, filled_conditional
+from directcorr.engine import BatchContext
+from directcorr.sparse import SparseStrategy
 
 from conftest import cond_indep_joint, random_joint
 
@@ -39,10 +40,14 @@ def test_every_measure_in_documented_range(j):
 @given(j=joint_strategy, s=st.sampled_from(["a", "b", "c"]))
 @settings(max_examples=60, deadline=None)
 def test_filled_conditionals_are_distributions(j, s):
-    for target, given_axes in (("y", "xz"), ("x", "yz")):
-        table = filled_conditional(j, target, given_axes, SparseStrategy.parse(s))
-        assert np.all(table >= -1e-15)
-        assert np.allclose(table.sum(axis=-1), 1.0, atol=1e-9)
+    # the joint as drawn, and a copy with its smaller cells emptied so
+    # that every fill rule is exercised
+    sparse = np.where(j.probs < np.median(j.probs), 0.0, j.probs)
+    for probs in (j.probs, sparse / sparse.sum()):
+        ctx = BatchContext(probs[None], s)
+        for table, target_axis in ((ctx.ycond, 2), (ctx.xcond, 1)):
+            assert np.all(table >= -1e-15)
+            assert np.allclose(table.sum(axis=target_axis), 1.0, atol=1e-9)
 
 
 @given(j=joint_strategy)

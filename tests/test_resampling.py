@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from directcorr.datasets import builtin_titanic_observations
+from directcorr.datasets import TITANIC_ALPHABETS, builtin_titanic_observations, titanic_counts
 from directcorr.errors import (
     DegenerateVariable,
     InvalidDistribution,
     MeasureFailure,
     SingleCategory,
     SingularDenominator,
+    ZeroTotal,
 )
 from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import MEASURES, evaluate
@@ -23,7 +24,7 @@ AB = Alphabet((0, 1))
 
 
 def table_from_counts(counts):
-    return ObservationTable.from_counts(np.asarray(counts), (AB, AB, AB))
+    return ObservationTable((AB, AB, AB), counts)
 
 
 def sparse_observations():
@@ -33,7 +34,7 @@ def sparse_observations():
     counts = np.array([[[9, 5, 4], [0, 0, 0]],
                        [[0, 6, 2], [5, 0, 7]],
                        [[0, 0, 3], [0, 8, 0]]])
-    return ObservationTable.from_counts(counts, tuple(Alphabet.of_size(d) for d in counts.shape))
+    return ObservationTable(tuple(Alphabet.of_size(d) for d in counts.shape), counts)
 
 
 # (observations, sparse strategy) per table; the sparse one runs under rule c
@@ -59,24 +60,35 @@ def titanic_all_ids():
 
 
 class TestObservationTable:
-    def test_records_roundtrip(self):
-        records = [(0, 1, 0), (1, 0, 1), (1, 1, 1)]
-        t = ObservationTable.from_records(records, (AB, AB, AB))
-        assert t.n == 3
-        assert t.records == records
-
     def test_counts(self):
-        t = ObservationTable.from_records([(0, 0, 0), (0, 0, 0), (1, 1, 1)], (AB, AB, AB))
+        t = table_from_counts([[[2, 0], [0, 0]], [[0, 0], [0, 1]]])
         counts = t.counts()
+        assert counts.dtype == np.int64
         assert counts[0, 0, 0] == 2 and counts[1, 1, 1] == 1 and counts.sum() == 3
+        assert t.n == 3
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            ObservationTable(alphabets=(AB, AB, AB), codes=np.zeros((0, 3), dtype=int))
+    @pytest.mark.parametrize(
+        "counts, error",
+        [
+            pytest.param(np.zeros((2, 2, 2), dtype=int), ZeroTotal, id="zero-total"),
+            pytest.param(np.ones((2, 2, 3), dtype=int), InvalidDistribution, id="shape"),
+            pytest.param(np.ones((2, 2)), InvalidDistribution, id="ndim"),
+            pytest.param(np.full((2, 2, 2), -1), InvalidDistribution, id="negative"),
+            pytest.param(np.full((2, 2, 2), 1.5), InvalidDistribution, id="fractional"),
+            pytest.param(np.full((2, 2, 2), np.nan), InvalidDistribution, id="nan"),
+            pytest.param(np.full((2, 2, 2), np.inf), InvalidDistribution, id="inf"),
+            pytest.param(np.full((2, 2, 2), 2.0**63), InvalidDistribution, id="above-int64"),
+            pytest.param(np.full((2, 2, 2), 2**61), InvalidDistribution, id="total-above-int64"),
+            pytest.param(np.full((2, 2, 2), "1"), InvalidDistribution, id="strings"),
+        ],
+    )
+    def test_rejected(self, counts, error):
+        with pytest.raises(error):
+            table_from_counts(counts)
 
-    def test_out_of_range_codes_rejected(self):
-        with pytest.raises(InvalidDistribution):
-            ObservationTable(alphabets=(AB, AB, AB), codes=np.array([[0, 0, 5]]))
+    def test_whole_float_counts_accepted(self):
+        t = table_from_counts(np.full((2, 2, 2), 3.0))
+        assert t.counts().dtype == np.int64 and t.n == 24
 
     def test_joint_normalizes(self):
         t = table_from_counts([[[2, 0], [0, 0]], [[0, 0], [0, 2]]])
@@ -177,3 +189,17 @@ class TestBootstrapCi:
                 per_seed.append(r.upper - r.lower)
             widths[n] = float(np.median(per_seed))
         assert widths[100] > widths[1000] > widths[10000]
+
+    def test_huge_counts_cost_no_memory_per_observation(self):
+        # a table with 10**12 observations in one cell: the table, the
+        # draws and the joints all stay one number per cell
+        counts = titanic_counts()
+        others = int(counts.sum() - counts[0, 0, 0])
+        counts[0, 0, 0] = 10**12
+        obs = ObservationTable(TITANIC_ALPHABETS, counts)
+        assert obs.n == 10**12 + others
+        assert obs.counts().nbytes == counts.size * 8
+        cis = bootstrap_cis(obs, ("rmi", "rcmi", "nace"), 20, seed=1)
+        for r in cis.values():
+            assert r.n_excluded == 0
+            assert np.isfinite(r.point) and r.lower <= r.upper
