@@ -28,7 +28,6 @@ from .datasets import (
 )
 from .docalc import (
     DoConditional,
-    DoJoint,
     ace,
     ace_kl,
     do_conditional,
@@ -48,14 +47,11 @@ from .models import (
 )
 from .prob import (
     Alphabet,
-    Dist1,
-    Joint2,
     Joint3,
     entropy,
     from_counts,
     js_divergence,
     kl_divergence,
-    marginal,
     sqrt_js,
     total_variation,
 )

@@ -26,10 +26,14 @@ from .datasets import (
     load_schema,
 )
 from .docalc import argmax_pair, do_conditional
+from .engine import PAIR_KERNELS
 from .errors import (
+    DegenerateVariable,
     DirectCorrError,
     EmptyAfterFiltering,
     MissingColumn,
+    SingleCategory,
+    SingularDenominator,
     UnknownMeasure,
     ZeroTotal,
 )
@@ -52,6 +56,9 @@ BACKDOOR_CAVEAT = (
 )
 
 DATA_ERRORS = (FileNotFoundError, MissingColumn, EmptyAfterFiltering, ZeroTotal)
+
+# What a measure raises on a joint where it has no value; sweep leaves that cell empty
+UNDEFINED = (DegenerateVariable, SingularDenominator, SingleCategory)
 
 SWEEP_DEFAULT_MEASURES = ("rcmi", "ricmi_two", "nace", "race", "rmi_do")
 
@@ -124,7 +131,6 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
     notes = [f"source: {ds.source}", f"strategy: {strategy.value}"]
     dc = None
     for m in measures:
-        spec = get_measure(m)
         if m == "pc" and not ds.pc_allowed:
             notes.append("pc omitted: a variable has no ordinal interpretation")
             continue
@@ -132,7 +138,7 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
         note = ""
         if math.isinf(value):
             note = "+infinity (singular reconstruction)"
-        if spec.do_family and m in ("ace", "nace", "ace_kl", "race"):
+        if m in PAIR_KERNELS:
             if dc is None:
                 dc = do_conditional(ds.joint, strategy)
             i, k = argmax_pair(dc, m)
@@ -216,10 +222,16 @@ def cmd_sweep(args) -> int:
     if sorted({*fixed, args.sweep}) != names:
         raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
     rows = []
+    undefined: dict[str, list[str]] = {}
     for value in grid:
         joint = model(params_type(**fixed, **{args.sweep: float(value)}))
         for m in measures:
-            rows.append((args.sweep, float(value), m, evaluate(joint, m, strategy)))
+            try:
+                val = evaluate(joint, m, strategy)
+            except UNDEFINED as exc:
+                val = None
+                undefined.setdefault(m, []).append(str(exc))
+            rows.append((args.sweep, float(value), m, val))
     header = "param,param_value,measure,value"
     lines = [header] + [f"{p},{v:.6f},{m},{fmt(val)}" for p, v, m, val in rows]
     text = "\n".join(lines) + "\n"
@@ -228,6 +240,9 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
+    for m, reasons in undefined.items():
+        why = " / ".join(dict.fromkeys(reasons))
+        print(f"note: {m} undefined at {len(reasons)} of {len(grid)} points, left empty ({why})", file=sys.stderr)
     return 0
 
 

@@ -5,7 +5,10 @@ that assumption is not checkable from the joint distribution and is not
 checked here (the CLI prints a caveat instead).  The intervened
 conditional is p(y | do(x)) = sum_z p(y|x,z) p(z), with undefined
 p(y|x,z) cells filled by the chosen sparse strategy.  The arithmetic lives
-in the batched engine (``engine.py``); these are its one-table calls.
+in the batched engine (``engine.py``): ``mi_do`` and ``rmi_do`` are one
+call into it on the joint, so each equals ``registry.evaluate`` for its
+id; the pairwise measures (``ace``, ``nace``, ``ace_kl``, ``race``) also
+take hand-made do-rows, as a ``DoConditional``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SINGLE, BatchContext, mi_rows, pair_max, rmi_rows
+from .engine import SINGLE, BatchContext, evaluate_one, pair_max
 from .errors import SingleCategory
-from .prob import Joint3, marginal
+from .prob import Joint3
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 
@@ -76,43 +79,26 @@ def argmax_pair(dc: DoConditional, measure: str = "nace") -> tuple[int, int]:
     return _best_pair(dc, measure)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class DoJoint:
-    """The intervened joint p_do(x,y) = p(y|do(x)) p(x) and its marginals.
+def do_joint(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> np.ndarray:
+    """The intervened joint p_do(x,y) = p(y|do(x)) p(x), a read-only (d_X, d_Y) array.
 
-    p_do(x) is the observational p(x) exactly (it is stored, not
-    recomputed); p_do(y) in general differs from the observational p(y).
+    Its X marginal is the observational p(x) up to rounding; its Y
+    marginal in general differs from the observational p(y).
     """
-
-    probs: np.ndarray  # (d_X, d_Y)
-    p_x: np.ndarray
-    p_y: np.ndarray
-    strategy: SparseStrategy
-
-    def __post_init__(self) -> None:
-        for name in ("probs", "p_x", "p_y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    pdo = BatchContext(j.probs[None], s).pdo[0]
+    pdo.setflags(write=False)
+    return pdo
 
 
-def do_joint(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> DoJoint:
-    s = SparseStrategy.parse(s)
-    dc = do_conditional(j, s)
-    px = marginal(j, "x").probs
-    pdo = dc.rows * px[:, None]
-    return DoJoint(probs=pdo, p_x=px, p_y=pdo.sum(axis=0), strategy=s)
-
-
-def mi_do(dj: DoJoint) -> float:
+def mi_do(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Normalized mutual information of the intervened joint, in [0, 1].
 
     Zero when H(p_do(y)) is zero: a deterministic intervened outcome
     leaves nothing for X to explain.
     """
-    return float(mi_rows(dj.probs[None], dj.p_x[None], dj.p_y[None])[1][0])
+    return evaluate_one(j, "mi_do", s)
 
 
-def rmi_do(dj: DoJoint) -> float:
+def rmi_do(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Root-JS distance between p_do(x,y) and the product of its marginals, in [0, 1)."""
-    return float(rmi_rows(dj.probs[None], dj.p_x[None], dj.p_y[None])[0])
+    return evaluate_one(j, "rmi_do", s)

@@ -55,7 +55,7 @@ Codes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Row kernels, shared with the single-object functions of totalcorr/docalc.
+# Row kernels.  ``pair_max`` is also docalc's, for hand-made do-rows.
 # ---------------------------------------------------------------------------
 
 
@@ -191,8 +191,8 @@ class BatchContext:
     # deterministic coupling keeps the base p(x,z) bit for bit, so every
     # coupling shares p(x) exactly and relabelling y permutes p(y) exactly,
     # which keeps ties between equivalent couplings exact.  p(z) is summed
-    # over (x, y) in one pass, as ``prob.marginal`` does; on a coupling that
-    # is the same sum as over p(x,z).
+    # over (x, y) in one pass; on a coupling that is the same sum as over
+    # p(x,z).
 
     @cached_property
     def pxz(self) -> np.ndarray:
@@ -310,7 +310,7 @@ class BatchContext:
 
     @cached_property
     def mi_xy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """MI and normalized MI, with the marginals summed from p(x,y) as for a Joint2."""
+        """MI and normalized MI, with p(x) and p(y) summed from p(x,y) rather than p(x,z), p(y,z)."""
         return mi_rows(self.pxy, self.pxy.sum(axis=2), self.pxy.sum(axis=1))
 
     def js_to(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ Conventions used throughout the package:
 * every table is an immutable value object and every operation is pure,
   so everything here is safe to share across threads.
 
-Axes of a three-variable table are always ordered (X, Y, Z) and named by
-the single letters ``"x"``, ``"y"``, ``"z"``.
+The one table type is ``Joint3``, whose axes are always ordered
+(X, Y, Z); a marginal is a plain sum of its ``probs`` over the other axes.
+The divergences also accept plain arrays.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .errors import (
 
 LN2 = math.log(2.0)
 NORM_TOL = 1e-12
-
-AXES = "xyz"
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,10 @@ class Alphabet:
         return cls(tuple(f"{prefix}{i}" if prefix else i for i in range(d)))
 
 
-def _frozen_probs(probs: Iterable, ndim: int) -> np.ndarray:
+def _frozen_probs(probs: Iterable) -> np.ndarray:
     arr = np.array(probs, dtype=float)
-    if arr.ndim != ndim:
-        raise InvalidDistribution(f"expected a {ndim}-dimensional table, got shape {arr.shape}")
+    if arr.ndim != 3:
+        raise InvalidDistribution(f"expected a 3-dimensional table, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidDistribution("non-finite probability entry")
     if np.any(arr < 0):
@@ -94,32 +93,6 @@ def _check_alphabets(alphabets: Sequence[Alphabet], shape: tuple[int, ...]) -> t
 
 
 @dataclass(frozen=True, eq=False)
-class Dist1:
-    """Distribution of a single variable."""
-
-    alphabet: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_probs(self.probs, 1)
-        _check_alphabets((self.alphabet,), arr.shape)
-        object.__setattr__(self, "probs", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class Joint2:
-    """Joint distribution of two variables."""
-
-    alphabets: tuple[Alphabet, Alphabet]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_probs(self.probs, 2)
-        object.__setattr__(self, "alphabets", _check_alphabets(self.alphabets, arr.shape))
-        object.__setattr__(self, "probs", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class Joint3:
     """Joint distribution of three variables (X, Y, Z); the universal input."""
 
@@ -127,7 +100,7 @@ class Joint3:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_probs(self.probs, 3)
+        arr = _frozen_probs(self.probs)
         object.__setattr__(self, "alphabets", _check_alphabets(self.alphabets, arr.shape))
         object.__setattr__(self, "probs", arr)
 
@@ -136,7 +109,7 @@ class Joint3:
         return self.probs.shape  # type: ignore[return-value]
 
 
-Distribution = Union[Dist1, Joint2, Joint3, np.ndarray]
+Distribution = Union[Joint3, np.ndarray]
 
 
 def _probs_of(d: Distribution) -> np.ndarray:
@@ -156,26 +129,6 @@ def from_counts(counts: Iterable, alphabets: Sequence[Alphabet]) -> Joint3:
     if total == 0:
         raise ZeroTotal("count table is all zeros")
     return Joint3(tuple(alphabets), arr / total)  # type: ignore[arg-type]
-
-
-def _axes_to_keep(keep: str) -> tuple[int, ...]:
-    keep = "".join(sorted(keep.lower(), key=AXES.index))
-    if not keep or len(set(keep)) != len(keep) or any(a not in AXES for a in keep):
-        raise ValueError(f"invalid axis set {keep!r}; use a subset of 'xyz'")
-    return tuple(AXES.index(a) for a in keep)
-
-
-def marginal(j: Joint3, keep: str) -> Dist1 | Joint2:
-    """Sum out the axes of ``j`` not named in ``keep`` (a proper nonempty subset of 'xyz')."""
-    kept = _axes_to_keep(keep)
-    if len(kept) >= 3:
-        raise ValueError("keep must be a proper subset of the three axes")
-    drop = tuple(i for i in range(3) if i not in kept)
-    arr = j.probs.sum(axis=drop)
-    alphas = tuple(j.alphabets[i] for i in kept)
-    if len(kept) == 1:
-        return Dist1(alphas[0], arr)
-    return Joint2(alphas, arr)  # type: ignore[arg-type]
 
 
 def _axes(p: np.ndarray) -> tuple[int, ...]:

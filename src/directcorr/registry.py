@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-# The single-object function behind each id stays importable from here.
+# Not used here: the benchmark's traced run (perfbench/tracing.py) patches
+# these per-measure functions by name in this namespace.
 from .docalc import ace, ace_kl, do_conditional, do_joint, mi_do, nace, race, rmi_do  # noqa: F401
 from .engine import Codes, evaluate_one
 from .errors import UnknownMeasure
@@ -38,34 +39,33 @@ class MeasureSpec:
     lo: float
     hi: float
     needs_encoding: bool
-    boundable: bool
     do_family: bool
 
 
 _SPECS: list[MeasureSpec] = [
-    MeasureSpec("pcc", "Pearson correlation", -1, 1, True, False, False),
-    MeasureSpec("pc", "partial correlation", -1, 1, True, False, False),
-    MeasureSpec("mi", "mutual information (bits)", 0, math.inf, False, False, False),
-    MeasureSpec("nmi_y", "normalized MI toward Y", 0, 1, False, False, False),
-    MeasureSpec("nmi_x", "normalized MI toward X", 0, 1, False, False, False),
-    MeasureSpec("nmi_max", "normalized MI (larger direction)", 0, 1, False, False, False),
-    MeasureSpec("rmi", "regularized MI", 0, 1, False, True, False),
-    MeasureSpec("cmi", "conditional MI (bits)", 0, math.inf, False, False, False),
-    MeasureSpec("cmi_js", "JS-normalized CMI", 0, 1, False, False, False),
-    MeasureSpec("rcmi", "regularized CMI", 0, 1, False, True, False),
-    MeasureSpec("pmi", "part MI (bits)", 0, math.inf, False, False, False),
-    MeasureSpec("rpmi", "regularized part MI", 0, 1, False, True, False),
-    MeasureSpec("icmi_xy", "one-way independent CMI X->Y (bits)", 0, math.inf, False, False, False),
-    MeasureSpec("icmi_yx", "one-way independent CMI Y->X (bits)", 0, math.inf, False, False, False),
-    MeasureSpec("ricmi_xy", "regularized ICMI X->Y", 0, 1, False, True, False),
-    MeasureSpec("ricmi_yx", "regularized ICMI Y->X", 0, 1, False, True, False),
-    MeasureSpec("ricmi_two", "regularized ICMI two-way", 0, 1, False, True, False),
-    MeasureSpec("ace", "average causal effect", 0, 1, False, False, True),
-    MeasureSpec("nace", "normalized ACE", 0, 1, False, True, True),
-    MeasureSpec("ace_kl", "KL ACE (bits)", 0, math.inf, False, False, True),
-    MeasureSpec("race", "regularized ACE", 0, 1, False, True, True),
-    MeasureSpec("mi_do", "normalized MI of the intervened joint", 0, 1, False, False, True),
-    MeasureSpec("rmi_do", "regularized MI of the intervened joint", 0, 1, False, True, True),
+    MeasureSpec("pcc", "Pearson correlation", -1, 1, True, False),
+    MeasureSpec("pc", "partial correlation", -1, 1, True, False),
+    MeasureSpec("mi", "mutual information (bits)", 0, math.inf, False, False),
+    MeasureSpec("nmi_y", "normalized MI toward Y", 0, 1, False, False),
+    MeasureSpec("nmi_x", "normalized MI toward X", 0, 1, False, False),
+    MeasureSpec("nmi_max", "normalized MI (larger direction)", 0, 1, False, False),
+    MeasureSpec("rmi", "regularized MI", 0, 1, False, False),
+    MeasureSpec("cmi", "conditional MI (bits)", 0, math.inf, False, False),
+    MeasureSpec("cmi_js", "JS-normalized CMI", 0, 1, False, False),
+    MeasureSpec("rcmi", "regularized CMI", 0, 1, False, False),
+    MeasureSpec("pmi", "part MI (bits)", 0, math.inf, False, False),
+    MeasureSpec("rpmi", "regularized part MI", 0, 1, False, False),
+    MeasureSpec("icmi_xy", "one-way independent CMI X->Y (bits)", 0, math.inf, False, False),
+    MeasureSpec("icmi_yx", "one-way independent CMI Y->X (bits)", 0, math.inf, False, False),
+    MeasureSpec("ricmi_xy", "regularized ICMI X->Y", 0, 1, False, False),
+    MeasureSpec("ricmi_yx", "regularized ICMI Y->X", 0, 1, False, False),
+    MeasureSpec("ricmi_two", "regularized ICMI two-way", 0, 1, False, False),
+    MeasureSpec("ace", "average causal effect", 0, 1, False, True),
+    MeasureSpec("nace", "normalized ACE", 0, 1, False, True),
+    MeasureSpec("ace_kl", "KL ACE (bits)", 0, math.inf, False, True),
+    MeasureSpec("race", "regularized ACE", 0, 1, False, True),
+    MeasureSpec("mi_do", "normalized MI of the intervened joint", 0, 1, False, True),
+    MeasureSpec("rmi_do", "regularized MI of the intervened joint", 0, 1, False, True),
 ]
 
 MEASURES: dict[str, MeasureSpec] = {m.id: m for m in _SPECS}

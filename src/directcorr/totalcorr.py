@@ -1,20 +1,20 @@
 """Total (not-necessarily-direct) correlation measures between X and Y.
 
-The arithmetic lives in the batched engine (``engine.py``); these are its
-one-table calls on a Joint2 (or, for the partial correlation, a Joint3).
+Each takes the three-variable joint and is one call into the batched
+engine (``engine.py``) on it, so its value is the one ``registry.evaluate``
+reports for the same id.  All but the partial correlation depend only on
+the (x,y) marginal.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import DEGENERATE, evaluate_one, mi_rows, pcc_rows, rmi_rows
-from .errors import DegenerateVariable
-from .prob import Alphabet, Joint2, Joint3
+from .engine import BatchContext, Codes, evaluate_one
+from .prob import Alphabet, Joint3
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,23 @@ class NumericEncoding:
 DEFAULT_ENCODING = NumericEncoding.ordinal()
 
 
-def pcc(j: Joint2, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
-    """Pearson correlation coefficient of the two encoded variables, in [-1, 1]."""
-    v = float(pcc_rows(j.probs[None], enc.codes(j.alphabets[0]), enc.codes(j.alphabets[1]))[0])
-    if math.isnan(v):
-        raise DegenerateVariable(DEGENERATE)
-    return v
+def _codes(j: Joint3, enc: NumericEncoding) -> Codes:
+    return tuple(enc.codes(a) for a in j.alphabets)  # type: ignore[return-value]
+
+
+def pcc(j: Joint3, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
+    """Pearson correlation coefficient of the encoded X and Y, in [-1, 1]; undefined if one is constant."""
+    return evaluate_one(j, "pcc", codes=_codes(j, enc))
 
 
 def partial_correlation(jxyz: Joint3, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
     """Direct linear correlation of X and Y with Z partialled out, in [-1, 1]."""
-    return evaluate_one(jxyz, "pc", codes=tuple(enc.codes(a) for a in jxyz.alphabets))
+    return evaluate_one(jxyz, "pc", codes=_codes(jxyz, enc))
 
 
-def _mi_parts(j: Joint2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = j.probs[None]
-    return mi_rows(p, p.sum(axis=2), p.sum(axis=1))
-
-
-def mutual_information(j: Joint2) -> float:
+def mutual_information(j: Joint3) -> float:
     """Mutual information H(X) + H(Y) - H(X,Y), in bits (never negative)."""
-    return float(_mi_parts(j)[0][0])
+    return evaluate_one(j, "mi")
 
 
 @dataclass(frozen=True)
@@ -88,21 +84,20 @@ class NormalizedMi:
     max: float
 
 
-def normalized_mi(j: Joint2) -> NormalizedMi:
+def normalized_mi(j: Joint3) -> NormalizedMi:
     """Mutual information as a fraction of each variable's own entropy.
 
     A direction whose denominator entropy is zero carries no uncertainty
     to explain, so that component is defined as 0.
     """
-    _, to_y, to_x = (float(v[0]) for v in _mi_parts(j))
-    return NormalizedMi(to_y=to_y, to_x=to_x, max=max(to_y, to_x))
+    ctx = BatchContext(j.probs[None])
+    return NormalizedMi(*(float(ctx.value(m)[0]) for m in ("nmi_y", "nmi_x", "nmi_max")))
 
 
-def regularized_mi(j: Joint2) -> float:
+def regularized_mi(j: Joint3) -> float:
     """Root-JS distance between p(x,y) and the product of its marginals, in [0, 1).
 
     Zero exactly when X and Y are independent; the supports of the joint
     and the product always overlap, so the value 1 is never attained.
     """
-    p = j.probs[None]
-    return float(rmi_rows(p, p.sum(axis=2), p.sum(axis=1))[0])
+    return evaluate_one(j, "rmi")

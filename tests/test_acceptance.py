@@ -27,7 +27,7 @@ import oracle
 from conftest import cond_indep_joint, data_file, random_joint
 from directcorr.bounds import BOUND_MEASURES, achievable_bound, achievable_bounds, rmi_max_uniform
 from directcorr.datasets import dataset_from_builtin, dataset_from_csv, load_schema
-from directcorr.docalc import ace, do_conditional, do_joint, mi_do, nace, race, rmi_do
+from directcorr.docalc import ace, do_conditional, mi_do, nace, race
 from directcorr.errors import DegenerateVariable, SingularDenominator
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, js_divergence, kl_divergence, sqrt_js
@@ -189,7 +189,7 @@ def test_c6_sparse_special_case():
         assert nace(dc) == 0.5
         assert ace(dc) == 0.5
         assert race(dc) == pytest.approx(0.43, abs=0.01)
-        assert mi_do(do_joint(j, s)) == pytest.approx(0.75 * math.log2(3.0) - 1.0, abs=1e-9)
+        assert mi_do(j, s) == pytest.approx(0.75 * math.log2(3.0) - 1.0, abs=1e-9)
     direct = (
         "cmi", "cmi_js", "rcmi", "pmi", "rpmi", "icmi_xy", "icmi_yx",
         "ricmi_xy", "ricmi_yx", "ricmi_two", "ace", "nace", "ace_kl", "race", "mi_do", "rmi_do",

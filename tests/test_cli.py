@@ -168,6 +168,19 @@ class TestSweep:
         assert nace_vals == sorted(nace_vals)
         assert nace_vals[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_undefined_cell_left_empty(self, capsys):
+        # pc is undefined at lam1 = 0 (a conditioning correlation is 1)
+        code, out, err = run(
+            capsys, "sweep", "--model", "simple", "--set", "lam0=0.5",
+            "--sweep", "lam1", "--points", "5", "--measures", "rcmi,pc",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 11  # header and 5 points x 2 measures
+        assert "lam1,0.000000,pc," in lines
+        assert all(r["value"] for r in csv.DictReader(io.StringIO(out)) if r["measure"] == "rcmi")
+        assert err.count("note: pc undefined at 1 of 5 points") == 1
+
     def test_lam1_zero_row(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--model", "simple", "--set", "lam0=0.3",

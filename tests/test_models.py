@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from directcorr.docalc import do_conditional, do_joint, mi_do, nace
+from directcorr.docalc import do_conditional, mi_do, nace
 from directcorr.models import (
     DecisionParams,
     SimpleParams,
@@ -11,7 +11,7 @@ from directcorr.models import (
     fig5_corpus,
     simple_model_joint,
 )
-from directcorr.prob import marginal
+from directcorr.prob import Joint3
 from directcorr.registry import evaluate
 from directcorr.removal import cmi
 from directcorr.totalcorr import mutual_information
@@ -44,9 +44,13 @@ class TestDecisionModel:
 
     def test_no_influences_means_mutual_independence(self):
         j = decision_model_joint(DecisionParams(0.3, 0, 0, 0, 0.6))
-        assert mutual_information(marginal(j, "xy")) == pytest.approx(0.0, abs=1e-12)
-        assert mutual_information(marginal(j, "xz")) == pytest.approx(0.0, abs=1e-12)
-        assert mutual_information(marginal(j, "yz")) == pytest.approx(0.0, abs=1e-12)
+        x, y, z = j.alphabets
+        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+        # MI of X and Z (and of Y and Z): the same joint with Z in the Y slot
+        xzy = Joint3((x, z, y), j.probs.transpose(0, 2, 1))
+        yzx = Joint3((y, z, x), j.probs.transpose(1, 2, 0))
+        assert mutual_information(xzy) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(yzx) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_independent_five_variable_expansion(self, rng):
         for _ in range(10):
@@ -118,7 +122,7 @@ class TestFig5Corpus:
         _, j = fig5_corpus()[0]
         for m in ("rcmi", "pmi", "rpmi", "icmi_xy", "icmi_yx", "ricmi_two", "ace", "nace", "race", "rmi_do"):
             assert evaluate(j, m, "c") == 0.0
-        assert mi_do(do_joint(j, "c")) == 0.0
+        assert mi_do(j, "c") == 0.0
 
 
 class TestMonotonicity:

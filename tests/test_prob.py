@@ -9,14 +9,11 @@ from directcorr.engine import BatchContext
 from directcorr.errors import InvalidDistribution, ShapeMismatch, UnknownCategory, ZeroTotal
 from directcorr.prob import (
     Alphabet,
-    Dist1,
-    Joint2,
     Joint3,
     entropy,
     from_counts,
     js_divergence,
     kl_divergence,
-    marginal,
     sqrt_js,
     total_variation,
 )
@@ -67,15 +64,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             j.probs[0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize(
-        "cls, shape", [(Dist1, (2,)), (Joint2, (2, 2)), (Joint3, (2, 2, 2))], ids=["Dist1", "Joint2", "Joint3"]
-    )
-    def test_nan_entry_rejected(self, cls, shape):
-        probs = np.full(shape, 1.0 / np.prod(shape))
-        probs.flat[0] = math.nan
-        alphabets = AB if cls is Dist1 else (AB,) * len(shape)
+    def test_nan_entry_rejected(self):
+        probs = np.full((2, 2, 2), 0.125)
+        probs[0, 0, 0] = math.nan
         with pytest.raises(InvalidDistribution):
-            cls(alphabets, probs)
+            Joint3((AB, AB, AB), probs)
+
+    def test_two_dimensional_table_rejected(self):
+        with pytest.raises(InvalidDistribution):
+            Joint3((AB, AB), np.full((2, 2), 0.25))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_from_counts_non_finite_rejected(self, bad):
@@ -100,6 +97,8 @@ class TestConstruction:
 
 
 class TestMarginal:
+    """The engine's marginals of one joint."""
+
     def test_product_recovers_factors(self, rng):
         px = rng.dirichlet(np.ones(3))
         py = rng.dirichlet(np.ones(2))
@@ -108,21 +107,16 @@ class TestMarginal:
             (Alphabet.of_size(3), AB, AB),
             px[:, None, None] * py[None, :, None] * pz[None, None, :],
         )
-        assert np.allclose(marginal(j, "x").probs, px)
-        assert np.allclose(marginal(j, "y").probs, py)
-        assert np.allclose(marginal(j, "z").probs, pz)
+        ctx = BatchContext(j.probs[None])
+        assert np.allclose(ctx.px[0], px)
+        assert np.allclose(ctx.py[0], py)
+        assert np.allclose(ctx.pz[0], pz)
 
     def test_double_marginal_associative(self, rng):
-        j = random_joint(rng, (3, 2, 4))
-        via_xy = marginal(j, "xy").probs.sum(axis=1)
-        assert np.allclose(via_xy, marginal(j, "x").probs)
-
-    def test_keep_must_be_proper_subset(self, rng):
-        j = random_joint(rng, (2, 2, 2))
-        with pytest.raises(ValueError):
-            marginal(j, "xyz")
-        with pytest.raises(ValueError):
-            marginal(j, "")
+        ctx = BatchContext(random_joint(rng, (3, 2, 4)).probs[None])
+        assert np.allclose(ctx.pxy.sum(axis=2), ctx.px)
+        assert np.allclose(ctx.pyz.sum(axis=2), ctx.pxy.sum(axis=1))
+        assert np.allclose(ctx.pxz.sum(axis=1), ctx.pz)
 
 
 class TestConditional:
@@ -181,8 +175,8 @@ class TestEntropy:
         assert entropy(dist(0.75, 0.25)) == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_accepts_wrapper_types(self):
-        d = Dist1(AB, dist(0.5, 0.5))
-        assert entropy(d) == pytest.approx(1.0)
+        j = Joint3((AB, AB, AB), np.full((2, 2, 2), 0.125))
+        assert entropy(j) == pytest.approx(3.0)
 
 
 class TestKl:
@@ -279,8 +273,8 @@ def test_js_zero_iff_equal(rng):
 def test_entropy_subadditive(rng):
     for _ in range(50):
         j = random_joint(rng, (3, 2, 2))
-        hx = entropy(marginal(j, "x"))
-        hyz = entropy(marginal(j, "yz"))
+        hx = entropy(j.probs.sum(axis=(1, 2)))
+        hyz = entropy(j.probs.sum(axis=0))
         assert entropy(j) <= hx + hyz + 1e-12
 
 
@@ -288,5 +282,4 @@ def test_from_counts_commutes_with_marginalization(rng):
     counts = rng.integers(0, 20, size=(3, 2, 2))
     counts[0, 0, 0] += 1  # nonzero total
     j = from_counts(counts, (Alphabet.of_size(3), AB, AB))
-    direct = Joint2((Alphabet.of_size(3), AB), counts.sum(axis=2) / counts.sum())
-    assert np.allclose(marginal(j, "xy").probs, direct.probs)
+    assert np.allclose(j.probs.sum(axis=2), counts.sum(axis=2) / counts.sum())

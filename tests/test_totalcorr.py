@@ -3,7 +3,7 @@ import pytest
 
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import DegenerateVariable, SingularDenominator
-from directcorr.prob import Alphabet, Joint2, Joint3, kl_divergence, marginal
+from directcorr.prob import Alphabet, Joint3, kl_divergence
 from directcorr.totalcorr import (
     NumericEncoding,
     mutual_information,
@@ -19,8 +19,9 @@ AB = Alphabet((0, 1))
 
 
 def joint2(cells):
-    arr = np.asarray(cells, dtype=float)
-    return Joint2((Alphabet.of_size(arr.shape[0]), Alphabet.of_size(arr.shape[1])), arr)
+    """A joint with the given (x,y) table and a one-letter Z."""
+    arr = np.asarray(cells, dtype=float)[:, :, None]
+    return Joint3(tuple(Alphabet.of_size(d) for d in arr.shape), arr)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def titanic():
 
 class TestPcc:
     def test_titanic_class_survival(self, titanic):
-        assert pcc(marginal(titanic.joint, "xy")) == pytest.approx(-0.339, abs=1e-3)
+        assert pcc(titanic.joint) == pytest.approx(-0.339, abs=1e-3)
 
     def test_identity_coupling_is_plus_one(self):
         assert pcc(joint2(np.eye(3) / 3)) == pytest.approx(1.0)
@@ -45,7 +46,7 @@ class TestPcc:
             pcc(joint2([[0.5, 0.5], [0.0, 0.0]]))
 
     def test_sign_flips_with_negated_encoding(self, titanic):
-        j = marginal(titanic.joint, "xy")
+        j = titanic.joint
         enc = NumericEncoding.explicit({j.alphabets[1]: (0.0, -1.0)})
         assert pcc(j, enc) == pytest.approx(-pcc(j), abs=1e-12)
 
@@ -60,7 +61,7 @@ class TestPartialCorrelation:
         j = Joint3(
             (Alphabet.of_size(3), AB, AB), pxy[:, :, None] * pz[None, None, :]
         )
-        assert partial_correlation(j) == pytest.approx(pcc(marginal(j, "xy")), abs=1e-10)
+        assert partial_correlation(j) == pytest.approx(pcc(j), abs=1e-10)
 
     def test_singular_denominator(self):
         probs = np.zeros((2, 2, 2))
@@ -89,9 +90,9 @@ class TestMutualInformation:
     def test_equals_kl_identity(self, rng):
         for _ in range(30):
             j = random_joint(rng, (3, 3, 2))
-            xy = marginal(j, "xy")
-            prod = np.outer(xy.probs.sum(axis=1), xy.probs.sum(axis=0))
-            assert mutual_information(xy) == pytest.approx(kl_divergence(xy.probs, prod), abs=1e-12)
+            xy = j.probs.sum(axis=2)
+            prod = np.outer(xy.sum(axis=1), xy.sum(axis=0))
+            assert mutual_information(j) == pytest.approx(kl_divergence(xy, prod), abs=1e-12)
 
 
 class TestNormalizedMi:
@@ -133,16 +134,15 @@ class TestRegularizedMi:
         assert regularized_mi(joint2(np.outer(px, py))) == pytest.approx(0.0, abs=1e-7)
 
     def test_titanic(self, titanic):
-        assert regularized_mi(marginal(titanic.joint, "xy")) == pytest.approx(0.146, abs=2e-3)
+        assert regularized_mi(titanic.joint) == pytest.approx(0.146, abs=2e-3)
 
     def test_always_strictly_below_one(self, rng):
         for _ in range(30):
             j = random_joint(rng, (2, 2, 2), alpha=0.2)
-            assert regularized_mi(marginal(j, "xy")) < 1.0
+            assert regularized_mi(j) < 1.0
 
     def test_relabel_invariance(self, rng):
         j = random_joint(rng, (3, 3, 2))
-        xy = marginal(j, "xy")
         perm = rng.permutation(3)
-        permuted = joint2(xy.probs[perm][:, rng.permutation(3)])
-        assert regularized_mi(permuted) == pytest.approx(regularized_mi(xy), abs=1e-12)
+        permuted = Joint3(j.alphabets, j.probs[perm][:, rng.permutation(3)])
+        assert regularized_mi(permuted) == pytest.approx(regularized_mi(j), abs=1e-12)
