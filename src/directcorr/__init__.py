@@ -5,9 +5,11 @@ family splits in two: removal-based measures compare the joint with a
 reconstruction that has the direct X-Y link severed (CMI, PMI, ICMI and
 their root-JS regularized analogues), while do-calculus measures compare
 the intervened distributions p(y | do(x)) across values of x (ACE, NACE,
-RACE, do-based mutual information).  Achievable upper bounds, sparse-cell
-strategies, toy models, benchmark datasets and bootstrap confidence
-intervals round out the toolkit; the ``directcorr`` CLI fronts all of it.
+RACE, do-based mutual information).  Each measure's public function
+lives in ``registry`` next to its id and equals ``evaluate`` for that id.
+Achievable upper bounds, sparse-cell strategies, toy models, benchmark
+datasets and bootstrap confidence intervals round out the toolkit; the
+``directcorr`` CLI fronts all of it.
 """
 
 from .bounds import (
@@ -25,17 +27,6 @@ from .datasets import (
     builtin_titanic,
     load_csv,
     load_schema,
-)
-from .docalc import (
-    DoConditional,
-    ace,
-    ace_kl,
-    do_conditional,
-    do_joint,
-    mi_do,
-    nace,
-    race,
-    rmi_do,
 )
 from .errors import DirectCorrError
 from .models import (
@@ -55,29 +46,34 @@ from .prob import (
     sqrt_js,
     total_variation,
 )
-from .registry import MEASURES, TABLE_MEASURES, evaluate
-from .removal import (
-    RemovalReport,
+from .registry import (
+    MEASURES,
+    TABLE_MEASURES,
+    DoConditional,
+    NumericEncoding,
+    ace,
+    ace_kl,
     cmi,
     cmi_js,
+    do_conditional,
+    do_joint,
+    evaluate,
     icmi_oneway,
+    mi_do,
+    mutual_information,
+    nace,
+    normalized_mi,
+    partial_correlation,
+    pcc,
     pmi,
+    race,
     rcmi,
-    reconstruct_q_cmi,
-    reconstruct_q_pmi,
-    removal_report,
+    regularized_mi,
     ricmi,
+    rmi_do,
     rpmi,
 )
 from .resampling import CiReport, ObservationTable, bootstrap_ci, bootstrap_cis
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
-from .totalcorr import (
-    NumericEncoding,
-    mutual_information,
-    normalized_mi,
-    partial_correlation,
-    pcc,
-    regularized_mi,
-)
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from .datasets import (
     dataset_from_csv,
     load_schema,
 )
-from .docalc import argmax_pair, do_conditional
 from .engine import PAIR_KERNELS
 from .errors import (
     DegenerateVariable,
@@ -44,11 +43,17 @@ from .models import (
     fig5_corpus,
     simple_model_joint,
 )
-from .registry import TABLE_MEASURES, evaluate, get_measure
+from .registry import (
+    TABLE_MEASURES,
+    NumericEncoding,
+    argmax_pair,
+    do_conditional,
+    evaluate,
+    get_measure,
+)
 from .report import MeasureEntry, MeasureReport, fmt, human_table, to_csv, to_json
 from .resampling import bootstrap_cis
 from .sparse import SparseStrategy
-from .totalcorr import NumericEncoding
 
 BACKDOOR_CAVEAT = (
     "note: do-family measures assume Z is a sufficient back-door adjustment set; "
@@ -57,7 +62,7 @@ BACKDOOR_CAVEAT = (
 
 DATA_ERRORS = (FileNotFoundError, MissingColumn, EmptyAfterFiltering, ZeroTotal)
 
-# What a measure raises on a joint where it has no value; sweep leaves that cell empty
+# What a measure raises on a joint where it has no value; analyze and sweep leave that cell empty
 UNDEFINED = (DegenerateVariable, SingularDenominator, SingleCategory)
 
 SWEEP_DEFAULT_MEASURES = ("rcmi", "ricmi_two", "nace", "race", "rmi_do")
@@ -82,7 +87,7 @@ def _resolve_dataset(args) -> Dataset:
                 name="fig5",
                 joint=joint,
                 observations=None,
-                encoding=NumericEncoding.ordinal(),
+                encoding=NumericEncoding(),
                 pc_allowed=True,
                 source=f"exact model ({name})",
             )
@@ -134,18 +139,20 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
         if m == "pc" and not ds.pc_allowed:
             notes.append("pc omitted: a variable has no ordinal interpretation")
             continue
-        value = evaluate(ds.joint, m, strategy, ds.encoding)
-        note = ""
-        if math.isinf(value):
-            note = "+infinity (singular reconstruction)"
-        if m in PAIR_KERNELS:
-            if dc is None:
-                dc = do_conditional(ds.joint, strategy)
-            i, k = argmax_pair(dc, m)
-            labels = ds.joint.alphabets[0].labels
-            note = (note + " " if note else "") + f"pair=({labels[i]},{labels[k]})"
-            if dc.fill_count:
-                note += f" fills={dc.fill_count}"
+        try:
+            value = evaluate(ds.joint, m, strategy, ds.encoding)
+        except UNDEFINED as exc:
+            value, note = None, str(exc)
+        else:
+            note = "+infinity (singular reconstruction)" if math.isinf(value) else ""
+            if m in PAIR_KERNELS:
+                if dc is None:
+                    dc = do_conditional(ds.joint, strategy)
+                i, k = argmax_pair(dc, m)
+                labels = ds.joint.alphabets[0].labels
+                note = (note + " " if note else "") + f"pair=({labels[i]},{labels[k]})"
+                if dc.fill_count:
+                    note += f" fills={dc.fill_count}"
         ci = None
         if m in cis:
             ci = (cis[m].lower, cis[m].upper)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
 from .prob import Alphabet, Joint3, from_counts
+from .registry import NumericEncoding
 from .resampling import ObservationTable
-from .totalcorr import NumericEncoding
 
 ENV_DATA_DIR = "DIRECTCORR_DATA"
 
@@ -201,11 +201,7 @@ class DatasetSchema:
         return tuple(Alphabet(spec.categories) for spec in self.roles)  # type: ignore[return-value]
 
     def numeric_encoding(self) -> NumericEncoding:
-        mapping = {}
-        for spec, alphabet in zip(self.roles, self.alphabets()):
-            if spec.encoding is not None:
-                mapping[alphabet] = spec.encoding
-        return NumericEncoding.explicit(mapping) if mapping else NumericEncoding.ordinal()
+        return NumericEncoding(*(spec.encoding for spec in self.roles))
 
     @property
     def pc_allowed(self) -> bool:
@@ -349,7 +345,7 @@ def dataset_from_builtin(name: str) -> Dataset:
             name="berkeley",
             joint=builtin_berkeley(),
             observations=builtin_berkeley_observations(),
-            encoding=NumericEncoding.ordinal(),
+            encoding=NumericEncoding(),
             pc_allowed=False,  # departments carry no ordinal interpretation
             source="embedded counts",
         )
@@ -358,7 +354,7 @@ def dataset_from_builtin(name: str) -> Dataset:
             name="titanic",
             joint=builtin_titanic(),
             observations=builtin_titanic_observations(),
-            encoding=NumericEncoding.ordinal(),
+            encoding=NumericEncoding(),
             pc_allowed=True,
             source="embedded counts",
         )

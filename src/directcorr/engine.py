@@ -55,7 +55,8 @@ Codes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Row kernels.  ``pair_max`` is also docalc's, for hand-made do-rows.
+# Row kernels.  ``pair_max`` also serves the registry's pairwise functions,
+# which take hand-made do-rows.
 # ---------------------------------------------------------------------------
 
 

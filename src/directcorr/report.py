@@ -1,7 +1,9 @@
 """Measure reports and their rendering for the CLI.
 
 Values print with six decimals; the infinity sentinel prints as "inf".
-CSV and JSON emissions round-trip at the printed precision.
+An undefined value prints as "---" in the human table and as an empty
+field in CSV and JSON.  CSV and JSON emissions round-trip at the printed
+precision.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def fmt(value: float | None) -> str:
 @dataclass(frozen=True)
 class MeasureEntry:
     measure: str
-    value: float
+    value: float | None  # None where the measure is undefined; the note says why
     ci: tuple[float, float] | None = None
     bound: float | None = None
     strategy: str = "b"
@@ -35,6 +37,8 @@ class MeasureEntry:
     def __post_init__(self) -> None:
         spec = get_measure(self.measure)
         v = self.value
+        if v is None:
+            return
         if not math.isinf(v) and not (spec.lo - 1e-9 <= v <= spec.hi + 1e-9):
             raise ValueError(f"{self.measure} value {v} outside documented range [{spec.lo}, {spec.hi}]")
         if self.bound is not None and not math.isinf(v) and v > self.bound + 1e-9:
@@ -56,8 +60,9 @@ def human_table(report: MeasureReport) -> str:
     lines.append(header)
     for e in report.entries:
         lo, hi = (e.ci if e.ci is not None else (None, None))
+        value = "---" if e.value is None else fmt(e.value)
         lines.append(
-            f"  {e.measure:<10} {fmt(e.value):>10} {fmt(lo):>10} {fmt(hi):>10} {fmt(e.bound):>10}  {e.note}"
+            f"  {e.measure:<10} {value:>10} {fmt(lo):>10} {fmt(hi):>10} {fmt(e.bound):>10}  {e.note}"
         )
     return "\n".join(lines)
 

@@ -27,10 +27,9 @@ import numpy as np
 
 from .engine import measure_values
 from .errors import InvalidDistribution, MeasureFailure, ZeroTotal
-from .prob import Alphabet, Joint3, from_counts
-from .registry import evaluate, label_codes
+from .prob import Alphabet, Joint3
+from .registry import DEFAULT_ENCODING, NumericEncoding, evaluate, label_codes
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
-from .totalcorr import DEFAULT_ENCODING, NumericEncoding
 
 RNG_ID = "numpy-pcg64/seedseq(seed,b)"
 MAX_EXCLUDED_FRACTION = 0.05
@@ -80,7 +79,8 @@ class ObservationTable:
         return self.count_table
 
     def joint(self) -> Joint3:
-        return from_counts(self.count_table, self.alphabets)
+        # the table was checked on construction, so from_counts' checks are not repeated
+        return Joint3(self.alphabets, self.count_table / self.n)
 
 
 @dataclass(frozen=True)

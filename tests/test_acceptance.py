@@ -27,12 +27,11 @@ import oracle
 from conftest import cond_indep_joint, data_file, random_joint
 from directcorr.bounds import BOUND_MEASURES, achievable_bound, achievable_bounds, rmi_max_uniform
 from directcorr.datasets import dataset_from_builtin, dataset_from_csv, load_schema
-from directcorr.docalc import ace, do_conditional, mi_do, nace, race
+from directcorr.engine import BatchContext
 from directcorr.errors import DegenerateVariable, SingularDenominator
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, js_divergence, kl_divergence, sqrt_js
-from directcorr.registry import evaluate
-from directcorr.removal import cmi, rcmi, reconstruct_q_cmi
+from directcorr.registry import ace, cmi, do_conditional, evaluate, mi_do, nace, race, rcmi
 from directcorr.resampling import bootstrap_ci
 
 pytestmark = pytest.mark.acceptance
@@ -218,7 +217,7 @@ def test_c7_cmi_two_forms_agree():
     for _ in range(1000):
         shape = tuple(int(v) for v in rng.integers(2, 4, 3))
         j = random_joint(rng, shape, alpha=0.8)
-        kl_form = kl_divergence(j, reconstruct_q_cmi(j))
+        kl_form = kl_divergence(j, BatchContext(j.probs[None]).q_cmi()[0])
         assert abs(cmi(j) - kl_form) <= 1e-10
     print("[criterion 7b] PASS: CMI entropy form vs KL form at 1e-10 on 1000 random joints")
 

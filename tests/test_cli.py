@@ -5,7 +5,8 @@ import json
 import pytest
 
 from directcorr.cli import main
-from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, to_csv
+from directcorr.registry import TABLE_MEASURES
+from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, human_table, to_csv, to_json
 
 
 def run(capsys, *argv):
@@ -98,6 +99,17 @@ class TestAnalyze:
         assert code == 0
         assert "0.245957" in out
 
+    def test_undefined_value_printed_as_dashes(self, capsys):
+        # on fig5 a conditioning correlation is 1, so pc has no value
+        code, out, err = run(capsys, "analyze", "--builtin", "fig5", "--measures", "all")
+        assert code == 0, err
+        rows = {line.split()[0]: line for line in out.splitlines()[4:]}
+        assert sorted(rows) == sorted(TABLE_MEASURES)
+        assert rows["pc"].split(None, 2)[1:] == [
+            "---", "a conditioning correlation has magnitude 1; PC undefined"
+        ]
+        assert "---" not in rows["rcmi"]
+
 
 class TestCsvRoundTrip:
     def test_emitted_csv_reproduces_report(self, capsys, tmp_path):
@@ -129,6 +141,12 @@ class TestCsvRoundTrip:
         assert parsed[0]["value"] == "0.123457"
         assert parsed[1]["value"] == "inf"
         assert csv_rows(report)[0]["value"] == parsed[0]["value"]
+
+    def test_undefined_value_is_an_empty_field(self):
+        report = MeasureReport(dataset="demo", entries=(MeasureEntry(measure="pc", value=None, note="why"),))
+        assert "---" in human_table(report)
+        assert list(csv.DictReader(io.StringIO(to_csv([report]))))[0]["value"] == ""
+        assert json.loads(to_json([report]))[0]["entries"][0]["value"] == ""
 
 
 class TestBoundsCommand:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from directcorr.datasets import dataset_from_builtin
-from directcorr.docalc import (
+from directcorr.errors import SingleCategory
+from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, fig5_corpus, simple_model_joint
+from directcorr.prob import Alphabet, Joint3
+from directcorr.registry import (
+    DoConditional,
     ace,
     ace_kl,
     argmax_pair,
@@ -15,9 +19,6 @@ from directcorr.docalc import (
     race,
     rmi_do,
 )
-from directcorr.errors import SingleCategory
-from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, fig5_corpus, simple_model_joint
-from directcorr.prob import Alphabet, Joint3
 
 from conftest import random_joint
 
@@ -36,7 +37,6 @@ def sparse_case():
 
 def rows_of(*pairs):
     dc_rows = np.asarray(pairs, dtype=float)
-    from directcorr.docalc import DoConditional
     from directcorr.sparse import SparseStrategy
 
     return DoConditional(rows=dc_rows, strategy=SparseStrategy.MARGINAL, fill_count=0)
@@ -125,7 +125,6 @@ class TestPairwiseMeasures:
         assert race(dc) == pytest.approx(0.275, abs=2e-3)
 
     def test_single_category_rejected(self):
-        from directcorr.docalc import DoConditional
         from directcorr.sparse import SparseStrategy
 
         dc = DoConditional(rows=np.array([[0.5, 0.5]]), strategy=SparseStrategy.MARGINAL, fill_count=0)

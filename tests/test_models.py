@@ -3,7 +3,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from directcorr.docalc import do_conditional, mi_do, nace
 from directcorr.models import (
     DecisionParams,
     SimpleParams,
@@ -12,9 +11,7 @@ from directcorr.models import (
     simple_model_joint,
 )
 from directcorr.prob import Joint3
-from directcorr.registry import evaluate
-from directcorr.removal import cmi
-from directcorr.totalcorr import mutual_information
+from directcorr.registry import cmi, do_conditional, evaluate, mi_do, mutual_information, nace
 
 
 def five_var_oracle(q0, q1, q2, q3, q4):

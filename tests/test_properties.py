@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from directcorr.docalc import do_conditional, do_joint
-from directcorr.prob import Alphabet, Joint3
-from directcorr.registry import MEASURES, evaluate
-from directcorr.removal import reconstruct_q_cmi, reconstruct_q_pmi
 from directcorr.engine import BatchContext
+from directcorr.prob import Alphabet, Joint3
+from directcorr.registry import MEASURES, do_conditional, do_joint, evaluate
 from directcorr.sparse import SparseStrategy
 
 from conftest import cond_indep_joint, random_joint
@@ -53,17 +51,17 @@ def test_filled_conditionals_are_distributions(j, s):
 @given(j=joint_strategy)
 @settings(max_examples=60, deadline=None)
 def test_cmi_reconstruction_preserves_pair_marginals(j):
-    q = reconstruct_q_cmi(j)
-    assert np.allclose(q.probs.sum(axis=1), j.probs.sum(axis=1), atol=1e-13)
-    assert np.allclose(q.probs.sum(axis=0), j.probs.sum(axis=0), atol=1e-13)
+    q = BatchContext(j.probs[None]).q_cmi()[0]
+    assert np.allclose(q.sum(axis=1), j.probs.sum(axis=1), atol=1e-13)
+    assert np.allclose(q.sum(axis=0), j.probs.sum(axis=0), atol=1e-13)
 
 
 @given(j=joint_strategy, s=st.sampled_from(["a", "b", "c"]))
 @settings(max_examples=40, deadline=None)
 def test_pmi_reconstruction_normalized_per_stratum(j, s):
-    q = reconstruct_q_pmi(j, SparseStrategy.parse(s))
+    q = BatchContext(j.probs[None], s).q_pmi()[0][0]
     pz = j.probs.sum(axis=(0, 1))
-    assert np.allclose(q.probs.sum(axis=(0, 1)), pz, atol=1e-11)
+    assert np.allclose(q.sum(axis=(0, 1)), pz, atol=1e-11)
 
 
 @given(j=joint_strategy, s=st.sampled_from(["a", "b", "c"]))

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from directcorr.datasets import dataset_from_builtin
+from directcorr.engine import BatchContext
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, fig5_corpus, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, kl_divergence
-from directcorr.removal import (
-    cmi,
-    cmi_js,
-    icmi_oneway,
-    pmi,
-    rcmi,
-    reconstruct_q_cmi,
-    reconstruct_q_pmi,
-    removal_report,
-    ricmi,
-    rpmi,
-)
+from directcorr.registry import cmi, cmi_js, evaluate, icmi_oneway, pmi, rcmi, ricmi, rpmi
 
 from conftest import cond_indep_joint, random_joint
 
 AB = Alphabet((0, 1))
+
+REMOVAL_IDS = ("cmi", "cmi_js", "rcmi", "pmi", "rpmi", "icmi_xy", "icmi_yx", "ricmi_xy", "ricmi_yx", "ricmi_two")
+
+
+def q_cmi(j):
+    return BatchContext(j.probs[None]).q_cmi()[0]
+
+
+def q_pmi(j, s):
+    return BatchContext(j.probs[None], s).q_pmi()[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -38,24 +38,24 @@ def sparse_case():
 class TestReconstructQCmi:
     def test_fig5_already_conditionally_independent(self):
         _, j = fig5_corpus()[0]
-        assert np.allclose(reconstruct_q_cmi(j).probs, j.probs, atol=1e-15)
+        assert np.allclose(q_cmi(j), j.probs, atol=1e-15)
 
     def test_independent_triple_unchanged(self, rng):
         px, py, pz = (rng.dirichlet(np.ones(2)) for _ in range(3))
         j = Joint3((AB, AB, AB), px[:, None, None] * py[None, :, None] * pz[None, None, :])
-        assert np.allclose(reconstruct_q_cmi(j).probs, j.probs, atol=1e-15)
+        assert np.allclose(q_cmi(j), j.probs, atol=1e-15)
 
     def test_titanic_marginals_preserved(self, titanic):
-        q = reconstruct_q_cmi(titanic)
-        assert np.allclose(q.probs.sum(axis=1), titanic.probs.sum(axis=1), atol=1e-15)
-        assert np.allclose(q.probs.sum(axis=0), titanic.probs.sum(axis=0), atol=1e-15)
+        q = q_cmi(titanic)
+        assert np.allclose(q.sum(axis=1), titanic.probs.sum(axis=1), atol=1e-15)
+        assert np.allclose(q.sum(axis=0), titanic.probs.sum(axis=0), atol=1e-15)
 
     def test_marginals_preserved_random(self, rng):
         for _ in range(20):
             j = random_joint(rng, (3, 2, 3), alpha=0.4)
-            q = reconstruct_q_cmi(j)
-            assert np.allclose(q.probs.sum(axis=1), j.probs.sum(axis=1), atol=1e-14)
-            assert np.allclose(q.probs.sum(axis=0), j.probs.sum(axis=0), atol=1e-14)
+            q = q_cmi(j)
+            assert np.allclose(q.sum(axis=1), j.probs.sum(axis=1), atol=1e-14)
+            assert np.allclose(q.sum(axis=0), j.probs.sum(axis=0), atol=1e-14)
 
 
 class TestCmi:
@@ -72,7 +72,7 @@ class TestCmi:
     def test_kl_form_agrees_with_entropy_form(self, rng):
         for _ in range(50):
             j = random_joint(rng, (2, 3, 2))
-            assert cmi(j) == pytest.approx(kl_divergence(j, reconstruct_q_cmi(j)), abs=1e-10)
+            assert cmi(j) == pytest.approx(kl_divergence(j, q_cmi(j)), abs=1e-10)
 
 
 class TestRcmi:
@@ -96,22 +96,22 @@ class TestRcmi:
 class TestReconstructQPmi:
     def test_full_support_strategy_independent(self, rng):
         j = random_joint(rng, (2, 2, 2), alpha=3.0)
-        qa = reconstruct_q_pmi(j, "a").probs
-        qb = reconstruct_q_pmi(j, "b").probs
-        qc = reconstruct_q_pmi(j, "c").probs
+        qa = q_pmi(j, "a")
+        qb = q_pmi(j, "b")
+        qc = q_pmi(j, "c")
         assert np.allclose(qa, qb, atol=1e-15) and np.allclose(qb, qc, atol=1e-15)
 
     def test_fig5_strategy_c_equals_cmi_reconstruction(self):
         _, j = fig5_corpus()[0]
         assert np.allclose(
-            reconstruct_q_pmi(j, "c").probs, reconstruct_q_cmi(j).probs, atol=1e-15
+            q_pmi(j, "c"), q_cmi(j), atol=1e-15
         )
 
     def test_stratum_mass_renormalized(self, rng):
         j = random_joint(rng, (3, 2, 2), alpha=0.3)
-        q = reconstruct_q_pmi(j, "b")
+        q = q_pmi(j, "b")
         pz = j.probs.sum(axis=(0, 1))
-        assert np.allclose(q.probs.sum(axis=(0, 1)), pz, atol=1e-12)
+        assert np.allclose(q.sum(axis=(0, 1)), pz, atol=1e-12)
 
 
 class TestPmi:
@@ -176,20 +176,21 @@ class TestIcmi:
 
 
 class TestRemovalReport:
+    """The removal-family values of one joint, read together."""
+
     def test_internal_consistency(self, titanic):
-        r = removal_report(titanic, "b")
-        assert r.rcmi == pytest.approx(math.sqrt(r.cmi_js), abs=1e-15)
-        assert r.ricmi_two == pytest.approx(0.5 * (r.ricmi_xy + r.ricmi_yx), abs=1e-15)
-        assert all(abs(m - 1.0) < 1e-9 for m in r.pmi_stratum_masses)
+        r = {m: evaluate(titanic, m, "b") for m in REMOVAL_IDS}
+        assert r["rcmi"] == pytest.approx(math.sqrt(r["cmi_js"]), abs=1e-15)
+        assert r["ricmi_two"] == pytest.approx(0.5 * (r["ricmi_xy"] + r["ricmi_yx"]), abs=1e-15)
+        masses = BatchContext(titanic.probs[None], "b").q_pmi()[1][0]
+        assert np.all(np.abs(masses - 1.0) < 1e-9)
 
     def test_label_permutation_invariance(self, rng):
         j = random_joint(rng, (3, 2, 2))
         perm = rng.permutation(3)
         permuted = Joint3(j.alphabets, np.ascontiguousarray(j.probs[perm]))
-        a = removal_report(j, "b")
-        b = removal_report(permuted, "b")
-        for field in ("cmi", "rcmi", "pmi", "rpmi", "ricmi_xy", "ricmi_yx"):
-            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10)
+        for m in ("cmi", "rcmi", "pmi", "rpmi", "ricmi_xy", "ricmi_yx"):
+            assert evaluate(j, m, "b") == pytest.approx(evaluate(permuted, m, "b"), abs=1e-10)
 
     def test_rcmi_symmetric_in_x_and_y(self, rng):
         j = random_joint(rng, (3, 3, 2))

@@ -10,7 +10,7 @@ from directcorr.errors import (
     SingularDenominator,
     ZeroTotal,
 )
-from directcorr.prob import Alphabet, Joint3
+from directcorr.prob import Alphabet, Joint3, from_counts
 from directcorr.registry import MEASURES, evaluate
 from directcorr.resampling import (
     ObservationTable,
@@ -93,6 +93,15 @@ class TestObservationTable:
     def test_joint_normalizes(self):
         t = table_from_counts([[[2, 0], [0, 0]], [[0, 0], [0, 2]]])
         assert t.joint().probs[0, 0, 0] == 0.5
+
+    def test_joint_equals_from_counts(self):
+        rng = np.random.default_rng(11)
+        for i in range(100):
+            shape = tuple(int(d) for d in rng.integers(1, 5, size=3))
+            counts = rng.integers(0, 10 ** int(rng.integers(1, 12)), size=shape)
+            counts.flat[0] += 1  # never all zero
+            t = ObservationTable(tuple(Alphabet.of_size(d) for d in shape), counts)
+            assert np.array_equal(t.joint().probs, from_counts(counts, t.alphabets).probs)
 
 
 class TestBootstrapCi:

@@ -3,8 +3,9 @@ import pytest
 
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import DegenerateVariable, SingularDenominator
+from directcorr.models import SimpleParams, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, kl_divergence
-from directcorr.totalcorr import (
+from directcorr.registry import (
     NumericEncoding,
     mutual_information,
     normalized_mi,
@@ -47,8 +48,22 @@ class TestPcc:
 
     def test_sign_flips_with_negated_encoding(self, titanic):
         j = titanic.joint
-        enc = NumericEncoding.explicit({j.alphabets[1]: (0.0, -1.0)})
+        enc = NumericEncoding(y=(0.0, -1.0))
         assert pcc(j, enc) == pytest.approx(-pcc(j), abs=1e-12)
+
+    def test_encoding_recodes_only_its_role(self):
+        # X, Y and Z share the labels (0, 1) here; negating Y must leave X alone
+        j = simple_model_joint(SimpleParams(0.5, 0.5))
+        assert pcc(j) == pytest.approx(0.75, abs=1e-12)
+        assert pcc(j, NumericEncoding(y=(0.0, -1.0))) == pytest.approx(-0.75, abs=1e-12)
+        assert partial_correlation(j, NumericEncoding(y=(0.0, -1.0))) == pytest.approx(
+            -partial_correlation(j), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("codes", [(0.0,), (0.0, 1.0, 2.0), (0.0, float("nan"))])
+    def test_bad_encoding_rejected(self, codes):
+        with pytest.raises(ValueError, match="finite values"):
+            pcc(joint2(np.eye(2) / 2), NumericEncoding(x=codes))
 
 
 class TestPartialCorrelation:
