@@ -25,7 +25,7 @@ from .datasets import (
     dataset_from_csv,
     load_schema,
 )
-from .engine import PAIR_KERNELS
+from .engine import PAIR_KERNELS, BatchContext
 from .errors import (
     DegenerateVariable,
     DirectCorrError,
@@ -52,7 +52,7 @@ from .registry import (
     get_measure,
 )
 from .report import MeasureEntry, MeasureReport, fmt, human_table, to_csv, to_json
-from .resampling import bootstrap_cis
+from .resampling import RNG_ID, bootstrap_cis
 from .sparse import SparseStrategy
 
 BACKDOOR_CAVEAT = (
@@ -62,8 +62,11 @@ BACKDOOR_CAVEAT = (
 
 DATA_ERRORS = (FileNotFoundError, MissingColumn, EmptyAfterFiltering, ZeroTotal)
 
-# What a measure raises on a joint where it has no value; analyze and sweep leave that cell empty
+# What ``evaluate`` raises where a measure has no value.  Only analyze's point
+# values catch it (bootstrap shares them); sweep reads the engine's NaN instead.
 UNDEFINED = (DegenerateVariable, SingularDenominator, SingleCategory)
+
+PC_OMITTED = "a variable has no ordinal interpretation"
 
 SWEEP_DEFAULT_MEASURES = ("rcmi", "ricmi_two", "nace", "race", "rmi_do")
 
@@ -106,70 +109,71 @@ def _resolve_dataset(args) -> Dataset:
     raise ValueError("one of --builtin or --csv is required")
 
 
-def _emit(reports: list[MeasureReport], args) -> None:
-    if args.format and args.output:
-        text = to_csv(reports) if args.format == "csv" else to_json(reports)
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        for r in reports:
-            print(human_table(r))
+def _point_values(ds: Dataset, measures, strategy: SparseStrategy) -> tuple[dict[str, float], dict[str, str]]:
+    """The value of each measure on the dataset, and why each undefined one has none.
+
+    pc is in neither when a variable has no ordinal interpretation: it is
+    omitted.  Only the measures with a value are resampled or bounded.
+    """
+    values, undefined = {}, {}
+    for m in measures:
+        if m == "pc" and not ds.pc_allowed:
+            continue
+        try:
+            values[m] = evaluate(ds.joint, m, strategy, ds.encoding)
+        except UNDEFINED as exc:
+            undefined[m] = str(exc)
+    return values, undefined
 
 
 def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bounds, cap) -> MeasureReport:
     strategy = SparseStrategy.parse(strategy)
-    if any(get_measure(m).do_family for m in measures):
-        print(BACKDOOR_CAVEAT, file=sys.stderr)
+    if bootstrap_b and ds.observations is None:
+        raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
+    values, undefined = _point_values(ds, measures, strategy)
     cis = {}
     if bootstrap_b:
-        if ds.observations is None:
-            raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
-        # pc is left out of the report below, so it is not resampled either
-        reported = [m for m in measures if m != "pc" or ds.pc_allowed]
-        cis = bootstrap_cis(ds.observations, reported, bootstrap_b, seed, strategy, ds.encoding)
-    bounds = {}
-    if with_bounds:
-        wanted = [m for m in measures if m in BOUND_MEASURES]
-        if wanted:
-            bounds = achievable_bounds(ds.joint, wanted, strategy, cap)
+        cis = bootstrap_cis(ds.observations, list(values), bootstrap_b, seed, strategy, ds.encoding)
+    wanted = [m for m in values if m in BOUND_MEASURES] if with_bounds else []
+    bounds = achievable_bounds(ds.joint, wanted, strategy, cap) if wanted else {}
     entries = []
     notes = [f"source: {ds.source}", f"strategy: {strategy.value}"]
     dc = None
     for m in measures:
-        if m == "pc" and not ds.pc_allowed:
-            notes.append("pc omitted: a variable has no ordinal interpretation")
+        if m not in values and m not in undefined:
+            notes.append(f"pc omitted: {PC_OMITTED}")
             continue
-        try:
-            value = evaluate(ds.joint, m, strategy, ds.encoding)
-        except UNDEFINED as exc:
-            value, note = None, str(exc)
+        value, ci = values.get(m), cis.get(m)
+        if value is None:
+            note = [undefined[m]]
         else:
-            note = "+infinity (singular reconstruction)" if math.isinf(value) else ""
+            note = ["+infinity (singular reconstruction)"] if math.isinf(value) else []
             if m in PAIR_KERNELS:
-                if dc is None:
-                    dc = do_conditional(ds.joint, strategy)
+                dc = dc or do_conditional(ds.joint, strategy)
                 i, k = argmax_pair(dc, m)
                 labels = ds.joint.alphabets[0].labels
-                note = (note + " " if note else "") + f"pair=({labels[i]},{labels[k]})"
-                if dc.fill_count:
-                    note += f" fills={dc.fill_count}"
-        ci = None
-        if m in cis:
-            ci = (cis[m].lower, cis[m].upper)
-            if cis[m].n_excluded:
-                note = (note + " " if note else "") + f"excluded={cis[m].n_excluded}"
-        bound = bounds[m].max_value if m in bounds else None
-        entries.append(
-            MeasureEntry(measure=m, value=value, ci=ci, bound=bound, strategy=strategy.value, note=note)
-        )
+                note.append(f"pair=({labels[i]},{labels[k]})" + (f" fills={dc.fill_count}" if dc.fill_count else ""))
+        if ci is not None and ci.n_excluded:
+            note.append(f"excluded={ci.n_excluded}")
+        entries.append(MeasureEntry(
+            measure=m, value=value, ci=None if ci is None else (ci.lower, ci.upper),
+            bound=bounds[m].max_value if m in bounds else None, strategy=strategy.value, note=" ".join(note),
+        ))
     return MeasureReport(dataset=ds.name, entries=tuple(entries), notes=tuple(notes))
 
 
 def cmd_analyze(args) -> int:
     ds = _resolve_dataset(args)
     measures = _parse_measures(args.measures)
+    if any(get_measure(m).do_family for m in measures):
+        print(BACKDOOR_CAVEAT, file=sys.stderr)
     report = _build_report(ds, measures, args.strategy, args.bootstrap, args.seed, args.bounds, args.cap)
-    _emit([report], args)
+    if args.format and args.output:
+        text = to_csv([report]) if args.format == "csv" else to_json([report])
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote {args.output}")
+    else:
+        print(human_table(report))
     return 0
 
 
@@ -195,14 +199,19 @@ def cmd_bootstrap(args) -> int:
     measures = _parse_measures(args.measures)
     if any(get_measure(m).do_family for m in measures):
         print(BACKDOOR_CAVEAT, file=sys.stderr)
-    cis = bootstrap_cis(
-        ds.observations, measures, args.bootstrap, args.seed, SparseStrategy.parse(args.strategy), ds.encoding
-    )
-    print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={next(iter(cis.values())).rng})")
+    strategy = SparseStrategy.parse(args.strategy)
+    values, undefined = _point_values(ds, measures, strategy)
+    cis = bootstrap_cis(ds.observations, list(values), args.bootstrap, args.seed, strategy, ds.encoding)
+    print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={RNG_ID})")
     for m in measures:
-        c = cis[m]
-        note = f" excluded={c.n_excluded}" if c.n_excluded else ""
-        print(f"  {m:<10} {fmt(c.point)}  ci=[{fmt(c.lower)}, {fmt(c.upper)}]{note}")
+        if m in cis:
+            c = cis[m]
+            note = f" excluded={c.n_excluded}" if c.n_excluded else ""
+            print(f"  {m:<10} {fmt(c.point)}  ci=[{fmt(c.lower)}, {fmt(c.upper)}]{note}")
+        elif m in undefined:
+            print(f"  {m:<10} ---  {undefined[m]}")
+        else:
+            print(f"  {m:<10} omitted: {PC_OMITTED}")
     return 0
 
 
@@ -219,8 +228,9 @@ def _sweep_params(args) -> dict[str, float]:
 def cmd_sweep(args) -> int:
     measures = _parse_measures(args.measures, default=SWEEP_DEFAULT_MEASURES)
     fixed = _sweep_params(args)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     grid = np.linspace(args.start, args.stop, args.points)
-    strategy = SparseStrategy.parse(args.strategy)
     params_type, model = {
         "simple": (SimpleParams, simple_model_joint),
         "decision": (DecisionParams, decision_model_joint),
@@ -228,28 +238,25 @@ def cmd_sweep(args) -> int:
     names = sorted(f.name for f in dataclasses.fields(params_type))
     if sorted({*fixed, args.sweep}) != names:
         raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
-    rows = []
-    undefined: dict[str, list[str]] = {}
-    for value in grid:
-        joint = model(params_type(**fixed, **{args.sweep: float(value)}))
-        for m in measures:
-            try:
-                val = evaluate(joint, m, strategy)
-            except UNDEFINED as exc:
-                val = None
-                undefined.setdefault(m, []).append(str(exc))
-            rows.append((args.sweep, float(value), m, val))
-    header = "param,param_value,measure,value"
-    lines = [header] + [f"{p},{v:.6f},{m},{fmt(val)}" for p, v, m, val in rows]
+    joints = [model(params_type(**fixed, **{args.sweep: float(value)})) for value in grid]
+    ctx = BatchContext(np.stack([j.probs for j in joints]), args.strategy)
+    values = {m: ctx.value(m) for m in measures}
+    cells = [(float(value), m, float(values[m][i])) for i, value in enumerate(grid) for m in measures]
+    lines = ["param,param_value,measure,value"] + [
+        f"{args.sweep},{v:.6f},{m},{fmt(None if math.isnan(x) else x)}" for v, m, x in cells
+    ]
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    for m, reasons in undefined.items():
-        why = " / ".join(dict.fromkeys(reasons))
-        print(f"note: {m} undefined at {len(reasons)} of {len(grid)} points, left empty ({why})", file=sys.stderr)
+    # an undefined value is NaN in its row; one note per measure, by the first point it is undefined at
+    undefined = {m: np.flatnonzero(np.isnan(values[m])) for m in measures}
+    for m in sorted((m for m, rows in undefined.items() if rows.size), key=lambda m: undefined[m][0]):
+        rows = undefined[m]
+        why = " / ".join(dict.fromkeys(str(ctx.undefined_error(m, row)) for row in rows))
+        print(f"note: {m} undefined at {rows.size} of {len(grid)} points, left empty ({why})", file=sys.stderr)
     return 0
 
 
@@ -269,8 +276,27 @@ def _reproduce_dataset(name: str, args) -> tuple[Dataset | None, str]:
     return None, f"skipped: no file at {candidates[-1]} (fetch with scripts/fetch_data.py)"
 
 
+def _compare(entry: MeasureEntry | None, ref: benchmarks.ReferenceCell) -> tuple[bool, str]:
+    """Whether one analyze entry (None when omitted) matches its reference cell, and the line saying so."""
+    if ref.value is None:
+        ok = entry is None
+        return ok, f"{'---':>10}  expected ---  {'pass' if ok else 'FAIL (expected no value)'}"
+    if entry is None:
+        return False, "omitted but reference has a value: FAIL"
+    if entry.value is None:
+        return False, f"value --- vs {ref.value:+.3f} FAIL"
+    point_tol, ci_tol = benchmarks.POINT_TOL, benchmarks.CI_TOL
+    checks = [(f"value {fmt(entry.value)} vs {ref.value:+.3f}", abs(entry.value - ref.value) <= point_tol)]
+    if ref.ci is not None and entry.ci is not None:
+        (lo, hi), (ref_lo, ref_hi) = entry.ci, ref.ci
+        checks.append((f"ci [{fmt(lo)},{fmt(hi)}] vs {list(ref.ci)}",
+                       abs(lo - ref_lo) <= ci_tol and abs(hi - ref_hi) <= ci_tol))
+    if ref.bound is not None:
+        checks.append((f"bound {fmt(entry.bound)} vs {ref.bound:.3f}", abs(entry.bound - ref.bound) <= point_tol))
+    return all(ok for _, ok in checks), "; ".join(f"{text} {'ok' if ok else 'FAIL'}" for text, ok in checks)
+
+
 def cmd_reproduce(args) -> int:
-    strategy = SparseStrategy.parse(args.strategy)
     print(BACKDOOR_CAVEAT, file=sys.stderr)
     n_pass = n_fail = n_skip = 0
     for name in ("titanic", "adult", "berkeley"):
@@ -280,43 +306,13 @@ def cmd_reproduce(args) -> int:
         if ds is None:
             n_skip += len(expected)
             continue
-        cis = {}
-        if args.bootstrap:
-            cis = bootstrap_cis(
-                ds.observations, [m for m in TABLE_MEASURES if m != "pc" or ds.pc_allowed],
-                args.bootstrap, args.seed, strategy, ds.encoding,
-            )
-        bounds = achievable_bounds(ds.joint, BOUND_MEASURES, strategy, args.cap)
+        report = _build_report(ds, TABLE_MEASURES, args.strategy, args.bootstrap, args.seed, True, args.cap)
+        entries = {e.measure: e for e in report.entries}
         for m in TABLE_MEASURES:
-            ref = expected[m]
-            if ref.value is None:
-                status = "pass" if not ds.pc_allowed else "FAIL (expected no value)"
-                n_pass += status == "pass"
-                n_fail += status != "pass"
-                print(f"  {m:<10} {'---':>10}  expected ---  {status}")
-                continue
-            if m == "pc" and not ds.pc_allowed:
-                print(f"  {m:<10} omitted but reference has a value: FAIL")
-                n_fail += 1
-                continue
-            value = evaluate(ds.joint, m, strategy, ds.encoding)
-            parts = []
-            ok = abs(value - ref.value) <= benchmarks.POINT_TOL
-            parts.append(f"value {fmt(value)} vs {ref.value:+.3f} {'ok' if ok else 'FAIL'}")
-            cell_ok = ok
-            if ref.ci is not None and m in cis:
-                lo, hi = cis[m].lower, cis[m].upper
-                ci_ok = abs(lo - ref.ci[0]) <= benchmarks.CI_TOL and abs(hi - ref.ci[1]) <= benchmarks.CI_TOL
-                parts.append(f"ci [{fmt(lo)},{fmt(hi)}] vs {list(ref.ci)} {'ok' if ci_ok else 'FAIL'}")
-                cell_ok = cell_ok and ci_ok
-            if ref.bound is not None:
-                b = bounds[m].max_value
-                b_ok = abs(b - ref.bound) <= benchmarks.POINT_TOL
-                parts.append(f"bound {fmt(b)} vs {ref.bound:.3f} {'ok' if b_ok else 'FAIL'}")
-                cell_ok = cell_ok and b_ok
-            n_pass += cell_ok
-            n_fail += not cell_ok
-            print(f"  {m:<10} " + "; ".join(parts))
+            ok, line = _compare(entries.get(m), expected[m])
+            n_pass += ok
+            n_fail += not ok
+            print(f"  {m:<10} {line}")
     print(f"reproduce summary: {n_pass} cells ok, {n_fail} failed, {n_skip} skipped")
     return 0 if n_fail == 0 else 2
 

@@ -3,8 +3,9 @@
 The input is a stack of joint tables of shape (n, d_X, d_Y, d_Z), and
 every candidate along the leading axis is evaluated with its own
 marginals.  ``registry.evaluate`` is the stack-of-1 call, the bootstrap
-evaluates all of its resamples as one stack, and the achievable bounds
-evaluate each chunk of deterministic couplings as one stack.  What several
+evaluates all of its resamples as one stack, the achievable bounds
+evaluate each chunk of deterministic couplings as one stack, and the CLI's
+``sweep`` evaluates its whole grid of model joints as one stack.  What several
 measures share (marginals, the filled conditionals, the do-rows, and each
 measure's own values, so ricmi_two reuses both ICMI directions) is computed
 lazily and at most once per stack; a reconstruction that serves a single
@@ -24,7 +25,8 @@ Two conventions, chosen by ``support``:
 A value that is undefined for a candidate is NaN: pcc when an encoded
 variable is constant, pc also when a conditioning correlation is +-1,
 and the pairwise do-measures when d_X < 2.  ``BatchContext.undefined_error``
-names the exception the single-joint path raises instead.
+names, for one measure and one row of the stack, the exception the
+single-joint path raises instead.
 """
 
 from __future__ import annotations
@@ -178,12 +180,12 @@ class BatchContext:
             self._values[measure] = kernel(self)
         return self._values[measure]
 
-    def undefined_error(self, measure: str) -> DirectCorrError:
-        """The exception the single-joint path raises where ``measure`` is NaN on candidate 0."""
+    def undefined_error(self, measure: str, row: int = 0) -> DirectCorrError:
+        """The exception the single-joint path raises where ``measure`` is NaN on candidate ``row``."""
         if measure in PAIR_KERNELS:
             return SingleCategory(SINGLE)
-        if measure == "pc" and not np.isnan(self.value("pcc")[0]) and not any(
-            np.isnan(c[0]) for c in self.pcc_strata
+        if measure == "pc" and not np.isnan(self.value("pcc")[row]) and not any(
+            np.isnan(c[row]) for c in self.pcc_strata
         ):
             return SingularDenominator(SINGULAR)
         return DegenerateVariable(DEGENERATE)

@@ -2,17 +2,44 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from directcorr.cli import main
-from directcorr.registry import TABLE_MEASURES
+from directcorr.cli import UNDEFINED, main
+from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
+from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
 from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, human_table, to_csv, to_json
+from directcorr.resampling import RNG_ID
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_dataset(tmp_path, cells, x_labels, z_labels, z_ordinal=True) -> tuple[str, str]:
+    """A CSV of (x, y, z, count) cells and its schema, with Y in (no, yes)."""
+    rows = ["gx,gy,gz"] + [f"{x},{y},{z}" for x, y, z, k in cells for _ in range(k)]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "name": "gen",
+        "csv": {"has_header": True},
+        "roles": {
+            "x": {"column": "gx", "categories": list(x_labels)},
+            "y": {"column": "gy", "categories": ["no", "yes"]},
+            "z": {"column": "gz", "categories": list(z_labels), "ordinal": z_ordinal},
+        },
+    }), encoding="utf-8")
+    return str(data), str(schema)
+
+
+# Z always equals X, so pc is undefined on the data and on every resample
+Z_IS_X = tuple((x, y, x, k) for x, y, k in (("a", "no", 5), ("a", "yes", 3), ("b", "no", 2), ("b", "yes", 6)))
+# X has one category, so no pair of interventions exists for the do-family contrasts
+ONE_X = tuple(("a", y, z, k) for y, z, k in (("no", "p", 4), ("yes", "p", 2), ("no", "q", 1), ("yes", "q", 5)))
 
 
 @pytest.mark.parametrize(
@@ -24,9 +51,11 @@ def run(capsys, *argv):
         ("analyze", "--measures", "rmi"),
         ("sweep", "--model", "simple", "--set", "lam0", "--sweep", "lam1"),
         ("sweep", "--model", "simple", "--set", "lam9=0.5", "--sweep", "lam1"),
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "0"),
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "-1"),
     ],
     ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
-         "set-without-value", "set-unknown-parameter"],
+         "set-without-value", "set-unknown-parameter", "zero-points", "negative-points"],
 )
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -71,26 +100,28 @@ class TestAnalyze:
         assert "pc omitted" in out
 
     def test_bootstrap_skips_omitted_pc(self, capsys, tmp_path):
-        # Z is nominal and always equals X, so pc is undefined on the data
-        # and on every resample; the report omits it, so it is not resampled
-        cells = (("a", "no", 5), ("a", "yes", 3), ("b", "no", 2), ("b", "yes", 6))
-        rows = ["gx,gy,gz"] + [f"{x},{y},{x}" for x, y, k in cells for _ in range(k)]
-        data = tmp_path / "nominal.csv"
-        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        schema = tmp_path / "nominal.json"
-        schema.write_text(json.dumps({
-            "name": "nominal_z",
-            "csv": {"has_header": True},
-            "roles": {
-                "x": {"column": "gx", "categories": ["a", "b"]},
-                "y": {"column": "gy", "categories": ["no", "yes"]},
-                "z": {"column": "gz", "categories": ["a", "b"], "ordinal": False},
-            },
-        }), encoding="utf-8")
-        code, out, err = run(capsys, "analyze", "--csv", str(data), "--schema", str(schema),
+        # Z is nominal, so the report omits pc, and it is not resampled either
+        data, schema = write_dataset(tmp_path, Z_IS_X, "ab", "ab", z_ordinal=False)
+        code, out, err = run(capsys, "analyze", "--csv", data, "--schema", schema,
                              "--measures", "pc,rmi", "--bootstrap", "50")
         assert code == 0, err
         assert "pc omitted" in out
+
+    @pytest.mark.parametrize("cells, measures, flags, reason", [
+        (Z_IS_X, "pc,rmi", ("--bootstrap", "50"), "a conditioning correlation has magnitude 1; PC undefined"),
+        (ONE_X, "nace,rmi", ("--bootstrap", "20"), "X has a single category; no pair of interventions to contrast"),
+        (ONE_X, "nace,rmi", ("--bounds",), "X has a single category; no pair of interventions to contrast"),
+        (ONE_X, "nace,rmi", ("--bounds", "--bootstrap", "20"),
+         "X has a single category; no pair of interventions to contrast"),
+    ], ids=["pc-bootstrap", "nace-bootstrap", "nace-bounds", "nace-both"])
+    def test_undefined_value_not_resampled_or_bounded(self, capsys, tmp_path, cells, measures, flags, reason):
+        data, schema = write_dataset(tmp_path, cells, sorted({c[0] for c in cells}), sorted({c[2] for c in cells}))
+        code, out, err = run(capsys, "analyze", "--csv", data, "--schema", schema, "--measures", measures, *flags)
+        assert code == 0, err
+        undefined, other = measures.split(",")
+        assert out.splitlines()[4].split(None, 2) == [undefined, "---", reason]  # no CI, no bound
+        _, alone, _ = run(capsys, "analyze", "--csv", data, "--schema", schema, "--measures", other, *flags)
+        assert out.splitlines()[5] == alone.splitlines()[4]
 
     def test_bounds_flag(self, capsys):
         code, out, _ = run(
@@ -168,6 +199,23 @@ class TestBootstrapCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_omits_pc_like_analyze(self, capsys):
+        code, out, _ = run(capsys, "bootstrap", "--builtin", "berkeley", "--measures", "pc,rmi", "-B", "50")
+        assert code == 0
+        _, rmi_only, _ = run(capsys, "bootstrap", "--builtin", "berkeley", "--measures", "rmi", "-B", "50")
+        lines = out.splitlines()
+        assert lines[1] == "  pc         omitted: a variable has no ordinal interpretation"
+        assert [lines[0], lines[2]] == rmi_only.splitlines()
+
+    def test_undefined_value_printed_with_reason(self, capsys, tmp_path):
+        data, schema = write_dataset(tmp_path, Z_IS_X, "ab", "ab")
+        code, out, err = run(capsys, "bootstrap", "--csv", data, "--schema", schema, "--measures", "pc", "-B", "50")
+        assert code == 0, err
+        assert out.splitlines() == [
+            f"dataset: gen (B=50, seed=20260419, rng={RNG_ID})",
+            "  pc         ---  a conditioning correlation has magnitude 1; PC undefined",
+        ]
+
     def test_fig5_has_no_records(self, capsys):
         code, _, err = run(capsys, "bootstrap", "--builtin", "fig5", "--measures", "rmi")
         assert code == 2
@@ -208,6 +256,58 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(float(r["value"]) == pytest.approx(0.0, abs=1e-12) for r in rows)
 
+    @pytest.mark.parametrize("strategy", "abc")
+    @pytest.mark.parametrize("model, fixed, sweep", [
+        ("simple", {"lam0": 0.5}, "lam1"),
+        ("simple", {"lam1": 0.7}, "lam0"),
+        ("decision", {"q0": 0.2, "q1": 0.5, "q2": -0.3, "q4": 0.1}, "q3"),
+        # pc and pcc are undefined at every point
+        ("decision", {"q0": 1, "q1": 1, "q2": 1, "q4": 1}, "q3"),
+        # pc is undefined at an earlier point than pcc, which comes first in the ids
+        ("decision", {"q0": 0, "q2": -1, "q3": 1, "q4": -1}, "q1"),
+        # pc is undefined for two different reasons
+        ("decision", {"q1": -1, "q2": -1, "q3": 0.5, "q4": 0}, "q0"),
+    ])
+    def test_equals_one_evaluate_per_cell(self, capsys, model, fixed, sweep, strategy):
+        params_type, joint_of = {
+            "simple": (SimpleParams, simple_model_joint),
+            "decision": (DecisionParams, decision_model_joint),
+        }[model]
+        start = 0.0 if sweep == "lam1" else -1.0
+        grid = np.linspace(start, 1.0, 9)
+        lines = ["param,param_value,measure,value"]
+        undefined: dict[str, list[str]] = {}
+        for v in grid:
+            joint = joint_of(params_type(**fixed, **{sweep: float(v)}))
+            for m in MEASURES:
+                try:
+                    cell = fmt(evaluate(joint, m, strategy))
+                except UNDEFINED as exc:
+                    cell = ""
+                    undefined.setdefault(m, []).append(str(exc))
+                lines.append(f"{sweep},{v:.6f},{m},{cell}")
+        notes = "".join(
+            f"note: {m} undefined at {len(why)} of {len(grid)} points, left empty ({' / '.join(dict.fromkeys(why))})\n"
+            for m, why in undefined.items()
+        )
+        argv = ["sweep", "--model", model, "--sweep", sweep, "--start", str(start), "--points", str(len(grid)),
+                "--strategy", strategy, "--measures", ",".join(MEASURES)]
+        for k, v in fixed.items():
+            argv += ["--set", f"{k}={v}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+        assert err == notes
+
+    def test_note_order_and_reasons(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--model", "decision", "--set", "q0=0", "--set", "q2=-1", "--set", "q3=1",
+            "--set", "q4=-1", "--sweep", "q1", "--start", "-1", "--points", "5", "--measures", "pcc,pc",
+        )
+        assert code == 0
+        assert [line.split(" undefined")[0] for line in err.splitlines()] == ["note: pc", "note: pcc"]
+        assert err.splitlines()[0].count(" / ") == 1
+
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--model", "simple", "--set", "lam0=3",
@@ -223,6 +323,34 @@ class TestReproduce:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_default_run_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))
+        code, out, err = run(capsys, "reproduce")
+        assert code == 2
+        assert out.splitlines()[-1] == "reproduce summary: 18 cells ok, 4 failed, 11 skipped"
+        failed, dataset = [], None
+        for line in out.splitlines():
+            if line.startswith("== "):
+                dataset = line.split()[1]
+            elif "FAIL" in line:
+                failed.append((dataset, line.split()[0]))
+        assert failed == [("titanic", "rpmi"), ("titanic", "ricmi_yx"), ("berkeley", "rpmi"), ("berkeley", "ricmi_yx")]
+        assert err.count("back-door") == 1
+
+    def test_undefined_value_fails_without_abort(self, capsys, tmp_path, monkeypatch):
+        # every passenger travels first class, so Pclass is constant and pcc, pc have no value
+        monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))
+        cells = ((0, "male", 30), (1, "male", 10), (0, "female", 5), (1, "female", 25))
+        people = [(s, g) for s, g, k in cells for _ in range(k)]
+        rows = ["PassengerId,Survived,Pclass,Sex,Age"] + [f"{i},{s},1,{g},30" for i, (s, g) in enumerate(people)]
+        titanic = tmp_path / "one_class.csv"
+        titanic.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "reproduce", "--titanic", str(titanic), "--bootstrap", "0")
+        assert code == 2, err
+        lines = out.splitlines()
+        assert lines[1:3] == ["  pcc        value --- vs -0.339 FAIL", "  pc         value --- vs -0.321 FAIL"]
+        assert "== berkeley [embedded counts]" in lines
 
     def test_missing_adult_column_skipped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))
