@@ -39,6 +39,7 @@ from .models import (
 from .prob import (
     Alphabet,
     Joint3,
+    ObservationTable,
     entropy,
     from_counts,
     js_divergence,
@@ -73,7 +74,7 @@ from .registry import (
     rmi_do,
     rpmi,
 )
-from .resampling import CiReport, ObservationTable, bootstrap_ci, bootstrap_cis
+from .resampling import CiReport, bootstrap_ci, bootstrap_cis
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 __version__ = "0.1.0"

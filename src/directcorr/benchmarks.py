@@ -20,12 +20,6 @@ CI_TOL = 0.02
 SEED = 20260419
 B_RESAMPLES = 1000
 
-ADULT_EDU_MARGINALS = (0.132, 0.540, 0.244, 0.084)
-ADULT_EDU_TOL = 0.01
-ADULT_N = 32561
-TITANIC_N = 891
-BERKELEY_N = 4526
-
 
 @dataclass(frozen=True)
 class ReferenceCell:

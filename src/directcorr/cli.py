@@ -52,7 +52,7 @@ from .registry import (
     get_measure,
 )
 from .report import MeasureEntry, MeasureReport, fmt, human_table, to_csv, to_json
-from .resampling import RNG_ID, bootstrap_cis
+from .resampling import RNG_ID, CiReport, bootstrap_cis
 from .sparse import SparseStrategy
 
 BACKDOOR_CAVEAT = (
@@ -126,6 +126,13 @@ def _point_values(ds: Dataset, measures, strategy: SparseStrategy) -> tuple[dict
     return values, undefined
 
 
+def _interval(ci: CiReport) -> tuple[tuple[float, float] | None, str]:
+    """The CI's endpoints, None where over 5% of the resamples were excluded, and the note on its exclusions."""
+    if ci.too_many_excluded:
+        return None, f"excluded={ci.n_excluded} (> 5% of {ci.b_resamples} resamples; no CI)"
+    return (ci.lower, ci.upper), f"excluded={ci.n_excluded}" if ci.n_excluded else ""
+
+
 def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bounds, cap) -> MeasureReport:
     strategy = SparseStrategy.parse(strategy)
     if bootstrap_b and ds.observations is None:
@@ -143,7 +150,8 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
         if m not in values and m not in undefined:
             notes.append(f"pc omitted: {PC_OMITTED}")
             continue
-        value, ci = values.get(m), cis.get(m)
+        value = values.get(m)
+        ci, excluded = _interval(cis[m]) if m in cis else (None, "")
         if value is None:
             note = [undefined[m]]
         else:
@@ -153,22 +161,24 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
                 i, k = argmax_pair(dc, m)
                 labels = ds.joint.alphabets[0].labels
                 note.append(f"pair=({labels[i]},{labels[k]})" + (f" fills={dc.fill_count}" if dc.fill_count else ""))
-        if ci is not None and ci.n_excluded:
-            note.append(f"excluded={ci.n_excluded}")
+        if excluded:
+            note.append(excluded)
         entries.append(MeasureEntry(
-            measure=m, value=value, ci=None if ci is None else (ci.lower, ci.upper),
+            measure=m, value=value, ci=ci,
             bound=bounds[m].max_value if m in bounds else None, strategy=strategy.value, note=" ".join(note),
         ))
     return MeasureReport(dataset=ds.name, entries=tuple(entries), notes=tuple(notes))
 
 
 def cmd_analyze(args) -> int:
+    if bool(args.format) != bool(args.output):
+        raise ValueError("--format and --output must be given together")
     ds = _resolve_dataset(args)
     measures = _parse_measures(args.measures)
     if any(get_measure(m).do_family for m in measures):
         print(BACKDOOR_CAVEAT, file=sys.stderr)
     report = _build_report(ds, measures, args.strategy, args.bootstrap, args.seed, args.bounds, args.cap)
-    if args.format and args.output:
+    if args.format:
         text = to_csv([report]) if args.format == "csv" else to_json([report])
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
@@ -205,9 +215,9 @@ def cmd_bootstrap(args) -> int:
     print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={RNG_ID})")
     for m in measures:
         if m in cis:
-            c = cis[m]
-            note = f" excluded={c.n_excluded}" if c.n_excluded else ""
-            print(f"  {m:<10} {fmt(c.point)}  ci=[{fmt(c.lower)}, {fmt(c.upper)}]{note}")
+            ci, note = _interval(cis[m])
+            shown = "---" if ci is None else f"[{fmt(ci[0])}, {fmt(ci[1])}]"
+            print(f"  {m:<10} {fmt(cis[m].point)}  ci={shown}" + (f" {note}" if note else ""))
         elif m in undefined:
             print(f"  {m:<10} ---  {undefined[m]}")
         else:
@@ -276,7 +286,7 @@ def _reproduce_dataset(name: str, args) -> tuple[Dataset | None, str]:
     return None, f"skipped: no file at {candidates[-1]} (fetch with scripts/fetch_data.py)"
 
 
-def _compare(entry: MeasureEntry | None, ref: benchmarks.ReferenceCell) -> tuple[bool, str]:
+def _compare(entry: MeasureEntry | None, ref: benchmarks.ReferenceCell, with_ci: bool) -> tuple[bool, str]:
     """Whether one analyze entry (None when omitted) matches its reference cell, and the line saying so."""
     if ref.value is None:
         ok = entry is None
@@ -287,10 +297,10 @@ def _compare(entry: MeasureEntry | None, ref: benchmarks.ReferenceCell) -> tuple
         return False, f"value --- vs {ref.value:+.3f} FAIL"
     point_tol, ci_tol = benchmarks.POINT_TOL, benchmarks.CI_TOL
     checks = [(f"value {fmt(entry.value)} vs {ref.value:+.3f}", abs(entry.value - ref.value) <= point_tol)]
-    if ref.ci is not None and entry.ci is not None:
-        (lo, hi), (ref_lo, ref_hi) = entry.ci, ref.ci
-        checks.append((f"ci [{fmt(lo)},{fmt(hi)}] vs {list(ref.ci)}",
-                       abs(lo - ref_lo) <= ci_tol and abs(hi - ref_hi) <= ci_tol))
+    if ref.ci is not None and with_ci:  # with bootstrap on, an entry left without a CI fails (NaN compares false)
+        (lo, hi), (ref_lo, ref_hi) = entry.ci or (math.nan, math.nan), ref.ci
+        shown = "---" if entry.ci is None else f"[{fmt(lo)},{fmt(hi)}]"
+        checks.append((f"ci {shown} vs {list(ref.ci)}", abs(lo - ref_lo) <= ci_tol and abs(hi - ref_hi) <= ci_tol))
     if ref.bound is not None:
         checks.append((f"bound {fmt(entry.bound)} vs {ref.bound:.3f}", abs(entry.bound - ref.bound) <= point_tol))
     return all(ok for _, ok in checks), "; ".join(f"{text} {'ok' if ok else 'FAIL'}" for text, ok in checks)
@@ -309,7 +319,7 @@ def cmd_reproduce(args) -> int:
         report = _build_report(ds, TABLE_MEASURES, args.strategy, args.bootstrap, args.seed, True, args.cap)
         entries = {e.measure: e for e in report.entries}
         for m in TABLE_MEASURES:
-            ok, line = _compare(entries.get(m), expected[m])
+            ok, line = _compare(entries.get(m), expected[m], args.bootstrap > 0)
             n_pass += ok
             n_fail += not ok
             print(f"  {m:<10} {line}")
@@ -329,30 +339,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", help="path to a CSV file")
         p.add_argument("--schema", help="canned schema name (titanic, adult, berkeley) or schema JSON path")
 
-    def add_common(p):
+    def add_common(p, *flags):
+        """--strategy, plus those of --seed and --cap that the command reads."""
         p.add_argument("--strategy", default="b", choices=("a", "b", "c"), help="sparse-cell fill rule")
-        p.add_argument("--seed", type=int, default=benchmarks.SEED)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="coupling enumeration cap")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=benchmarks.SEED)
+        if "cap" in flags:
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="coupling enumeration cap")
 
     p = sub.add_parser("analyze", help="compute measures on one dataset")
     add_dataset_args(p)
-    add_common(p)
+    add_common(p, "seed", "cap")
     p.add_argument("--measures", default=None, help="comma-separated measure ids (default: the standard table)")
     p.add_argument("--bootstrap", type=int, default=0, metavar="B", help="bootstrap resamples (0 = off)")
     p.add_argument("--bounds", action="store_true", help="also compute achievable upper bounds")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--output", help="file to write when --format is given")
+    p.add_argument("--output", help="file to write in --format (give both or neither)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bounds", help="achievable upper bounds by coupling enumeration")
     add_dataset_args(p)
-    add_common(p)
+    add_common(p, "cap")
     p.add_argument("--measures", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("bootstrap", help="bootstrap confidence intervals")
     add_dataset_args(p)
-    add_common(p)
+    add_common(p, "seed")
     p.add_argument("--measures", default=None)
     p.add_argument("--bootstrap", "-B", type=int, default=benchmarks.B_RESAMPLES)
     p.set_defaults(func=cmd_bootstrap)
@@ -370,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="recompute the benchmark table and compare to reference values")
-    add_common(p)
+    add_common(p, "seed", "cap")
     p.add_argument("--titanic", help="path to titanic.csv (default: $DIRECTCORR_DATA/titanic.csv)")
     p.add_argument("--adult", help="path to adult.data (default: $DIRECTCORR_DATA/adult.data)")
     p.add_argument("--bootstrap", type=int, default=benchmarks.B_RESAMPLES, metavar="B")

@@ -29,9 +29,8 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from .errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
-from .prob import Alphabet, Joint3, from_counts
+from .prob import Alphabet, Joint3, ObservationTable, from_counts
 from .registry import NumericEncoding
-from .resampling import ObservationTable
 
 ENV_DATA_DIR = "DIRECTCORR_DATA"
 
@@ -78,10 +77,6 @@ def builtin_berkeley() -> Joint3:
     return from_counts(berkeley_counts(), BERKELEY_ALPHABETS)
 
 
-def builtin_berkeley_observations() -> ObservationTable:
-    return ObservationTable(BERKELEY_ALPHABETS, berkeley_counts())
-
-
 # Titanic training split (n = 891): survivors / totals by class and sex.
 # X = passenger class, Y = survival, Z = sex.
 _TITANIC_SURVIVAL = {  # (class, sex) -> (survived, total)
@@ -113,10 +108,6 @@ def titanic_counts() -> np.ndarray:
 def builtin_titanic() -> Joint3:
     """Embedded Titanic class/survival/sex joint (n = 891)."""
     return from_counts(titanic_counts(), TITANIC_ALPHABETS)
-
-
-def builtin_titanic_observations() -> ObservationTable:
-    return ObservationTable(TITANIC_ALPHABETS, titanic_counts())
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +330,26 @@ class Dataset:
     source: str
 
 
+# name -> (count table, alphabets, whether pc applies)
+_BUILTINS = {
+    "berkeley": (berkeley_counts, BERKELEY_ALPHABETS, False),  # departments carry no ordinal interpretation
+    "titanic": (titanic_counts, TITANIC_ALPHABETS, True),
+}
+
+
 def dataset_from_builtin(name: str) -> Dataset:
-    if name == "berkeley":
-        return Dataset(
-            name="berkeley",
-            joint=builtin_berkeley(),
-            observations=builtin_berkeley_observations(),
-            encoding=NumericEncoding(),
-            pc_allowed=False,  # departments carry no ordinal interpretation
-            source="embedded counts",
-        )
-    if name == "titanic":
-        return Dataset(
-            name="titanic",
-            joint=builtin_titanic(),
-            observations=builtin_titanic_observations(),
-            encoding=NumericEncoding(),
-            pc_allowed=True,
-            source="embedded counts",
-        )
-    raise ValueError(f"unknown builtin dataset {name!r}; available: berkeley, titanic")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin dataset {name!r}; available: berkeley, titanic")
+    counts, alphabets, pc_allowed = _BUILTINS[name]
+    table = ObservationTable(alphabets, counts())
+    return Dataset(
+        name=name,
+        joint=table.joint(),
+        observations=table,
+        encoding=NumericEncoding(),
+        pc_allowed=pc_allowed,
+        source="embedded counts",
+    )
 
 
 def dataset_from_csv(path: str | os.PathLike, schema: DatasetSchema) -> tuple[Dataset, LoadReport]:

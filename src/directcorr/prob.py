@@ -15,9 +15,12 @@ Conventions used throughout the package:
 * every table is an immutable value object and every operation is pure,
   so everything here is safe to share across threads.
 
-The one table type is ``Joint3``, whose axes are always ordered
-(X, Y, Z); a marginal is a plain sum of its ``probs`` over the other axes.
-The divergences also accept plain arrays.
+The two value types have axes ordered (X, Y, Z).  ``Joint3`` is a
+probability table; a marginal is a plain sum of its ``probs`` over the
+other axes.  ``ObservationTable`` stores observed triples as their table of
+integer counts, their sufficient statistic, in one int64 per cell whatever
+the number of observations; it is the one place counts are checked and
+normalized.  The divergences also accept plain arrays.
 """
 
 from __future__ import annotations
@@ -116,19 +119,52 @@ def _probs_of(d: Distribution) -> np.ndarray:
     return np.asarray(getattr(d, "probs", d), dtype=float)
 
 
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Observed categorical triples (x, y, z) as a (d_X, d_Y, d_Z) table of integer counts."""
+
+    alphabets: tuple[Alphabet, Alphabet, Alphabet]
+    count_table: np.ndarray
+
+    def __post_init__(self) -> None:
+        alphabets = tuple(self.alphabets)
+        shape = tuple(a.size for a in alphabets)
+        arr = np.asarray(self.count_table)
+        if arr.dtype.kind not in "iuf" or arr.shape != shape:
+            raise InvalidDistribution(
+                f"expected a numeric count table of shape {shape}, got {arr.dtype} of shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise InvalidDistribution("non-finite count")
+        if np.any(arr < 0):
+            raise InvalidDistribution("negative count")
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+        if np.any(ints != arr):
+            raise InvalidDistribution("counts must be whole numbers below 2**63")
+        total = sum(ints.ravel().tolist())  # Python ints: an overflowing total is caught, not wrapped
+        if total == 0:
+            raise ZeroTotal("count table is all zeros")
+        if total >= 2**63:
+            raise InvalidDistribution(f"{total} observations do not fit in int64")
+        ints.setflags(write=False)
+        object.__setattr__(self, "alphabets", alphabets)
+        object.__setattr__(self, "count_table", ints)
+
+    @property
+    def n(self) -> int:
+        return int(self.count_table.sum())
+
+    def counts(self) -> np.ndarray:
+        return self.count_table
+
+    def joint(self) -> Joint3:
+        return Joint3(self.alphabets, self.count_table / self.n)
+
+
 def from_counts(counts: Iterable, alphabets: Sequence[Alphabet]) -> Joint3:
-    """Empirical joint distribution from a table of nonnegative integer counts."""
-    arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 3:
-        raise InvalidDistribution(f"expected a 3-dimensional count table, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidDistribution("non-finite count")
-    if np.any(arr < 0):
-        raise InvalidDistribution("negative count")
-    total = float(arr.sum())
-    if total == 0:
-        raise ZeroTotal("count table is all zeros")
-    return Joint3(tuple(alphabets), arr / total)  # type: ignore[arg-type]
+    """Empirical joint distribution from a table of nonnegative whole-number counts."""
+    return ObservationTable(tuple(alphabets), counts).joint()  # type: ignore[arg-type]
 
 
 def _axes(p: np.ndarray) -> tuple[int, ...]:

@@ -1,15 +1,14 @@
 """Nonparametric bootstrap confidence intervals over a table of observed counts.
 
-Observations are stored as their (d_X, d_Y, d_Z) count table, the
-sufficient statistic of categorical triples.  Each resample is a
-multinomial draw of n observations over the cells of that table, which
-is exactly what drawing n observations with replacement would give.
-Resample b uses the RNG stream seeded by the pair (seed, b), so results
-do not depend on evaluation order and resamples may safely be drawn in
-parallel.  All resamples are then evaluated as one stack by the batched
-measure engine, which treats every resample exactly as
-``registry.evaluate`` treats a single joint; a resample on which a
-measure is undefined comes back as NaN and is excluded for that measure.
+Each resample is a multinomial draw of n observations over the cells of
+a ``prob.ObservationTable``, which is exactly what drawing n observations
+with replacement would give.  Resample b uses the RNG stream seeded by
+the pair (seed, b), so results do not depend on evaluation order and
+resamples may safely be drawn in parallel.  All resamples are then
+evaluated as one stack by the batched measure engine, which treats every
+resample exactly as ``registry.evaluate`` treats a single joint; a
+resample on which a measure is undefined comes back as NaN and is
+excluded for that measure.
 
 The interval is the empirical 2.5th / 97.5th percentile of the resampled
 values, interpolated linearly between order statistics at plotting
@@ -26,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import measure_values
-from .errors import InvalidDistribution, MeasureFailure, ZeroTotal
-from .prob import Alphabet, Joint3
+from .errors import MeasureFailure
+from .prob import ObservationTable
 from .registry import DEFAULT_ENCODING, NumericEncoding, evaluate, label_codes
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
@@ -36,56 +35,9 @@ MAX_EXCLUDED_FRACTION = 0.05
 STACK_CELLS = 2**18  # table cells evaluated per engine call; bounds memory for large B
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationTable:
-    """Observed categorical triples (x, y, z) as a (d_X, d_Y, d_Z) table of integer counts.
-
-    Memory is one int64 per cell, whatever the number of observations.
-    """
-
-    alphabets: tuple[Alphabet, Alphabet, Alphabet]
-    count_table: np.ndarray
-
-    def __post_init__(self) -> None:
-        alphabets = tuple(self.alphabets)
-        shape = tuple(a.size for a in alphabets)
-        arr = np.asarray(self.count_table)
-        if arr.dtype.kind not in "iuf" or arr.shape != shape:
-            raise InvalidDistribution(
-                f"expected a numeric count table of shape {shape}, got {arr.dtype} of shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistribution("non-finite count")
-        if np.any(arr < 0):
-            raise InvalidDistribution("negative count")
-        with np.errstate(invalid="ignore"):
-            ints = arr.astype(np.int64)
-        if np.any(ints != arr):
-            raise InvalidDistribution("counts must be whole numbers below 2**63")
-        total = sum(ints.ravel().tolist())  # Python ints: an overflowing total is caught, not wrapped
-        if total == 0:
-            raise ZeroTotal("count table is all zeros")
-        if total >= 2**63:
-            raise InvalidDistribution(f"{total} observations do not fit in int64")
-        ints.setflags(write=False)
-        object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "count_table", ints)
-
-    @property
-    def n(self) -> int:
-        return int(self.count_table.sum())
-
-    def counts(self) -> np.ndarray:
-        return self.count_table
-
-    def joint(self) -> Joint3:
-        # the table was checked on construction, so from_counts' checks are not repeated
-        return Joint3(self.alphabets, self.count_table / self.n)
-
-
 @dataclass(frozen=True)
 class CiReport:
-    """Point estimate with a percentile bootstrap interval."""
+    """Point estimate with a percentile bootstrap interval (NaN where over 5% of resamples were excluded)."""
 
     measure: str
     point: float
@@ -95,6 +47,10 @@ class CiReport:
     seed: int
     rng: str
     n_excluded: int
+
+    @property
+    def too_many_excluded(self) -> bool:
+        return self.n_excluded > MAX_EXCLUDED_FRACTION * self.b_resamples
 
 
 def _percentile_pair(values: np.ndarray, b: int) -> tuple[float, float]:
@@ -131,9 +87,9 @@ def bootstrap_cis(
     """Bootstrap several measures over one shared set of resamples.
 
     A resample on which a measure is undefined (degenerate variable,
-    singular denominator) is excluded for that measure and counted; more
-    than 5% exclusions fails loudly rather than quietly reporting a CI
-    from a truncated distribution.
+    singular denominator) is excluded for that measure and counted.  With
+    more than 5% excluded, the measure's interval is undefined too: its
+    lower and upper are NaN rather than a CI from a truncated distribution.
     """
     if b_resamples < 2:
         raise ValueError("need at least 2 bootstrap resamples")
@@ -155,10 +111,9 @@ def bootstrap_cis(
         kept = values[~np.isnan(values)]
         excluded = b_resamples - kept.size
         if excluded > MAX_EXCLUDED_FRACTION * b_resamples:
-            raise MeasureFailure(
-                f"{excluded}/{b_resamples} resamples left {m!r} undefined (> 5% excluded)"
-            )
-        lo, hi = _percentile_pair(kept, kept.size)
+            lo = hi = math.nan
+        else:
+            lo, hi = _percentile_pair(kept, kept.size)
         out[m] = CiReport(
             measure=m,
             point=points[m],
@@ -180,5 +135,11 @@ def bootstrap_ci(
     s: SparseStrategy = DEFAULT_STRATEGY,
     enc: NumericEncoding = DEFAULT_ENCODING,
 ) -> CiReport:
-    """Percentile bootstrap CI of a single measure; deterministic for a fixed seed."""
-    return bootstrap_cis(obs, (measure,), b_resamples, seed, s, enc)[measure]
+    """Percentile bootstrap CI of a single measure; deterministic for a fixed seed.
+
+    Raises ``MeasureFailure`` where over 5% of the resamples leave the measure undefined.
+    """
+    ci = bootstrap_cis(obs, (measure,), b_resamples, seed, s, enc)[measure]
+    if ci.too_many_excluded:
+        raise MeasureFailure(f"{ci.n_excluded}/{b_resamples} resamples left {measure!r} undefined (> 5% excluded)")
+    return ci

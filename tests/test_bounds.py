@@ -9,7 +9,7 @@ from directcorr.bounds import (
     candidate_values,
     rmi_max_uniform,
 )
-from directcorr.datasets import builtin_berkeley_observations, dataset_from_builtin
+from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import ExplosionGuard, UnknownMeasure
 from directcorr.models import fig5_corpus
 from directcorr.prob import Alphabet, Joint3
@@ -161,7 +161,7 @@ class TestAchievableBounds:
         # On full support the bound convention is the plain one, so each
         # bootstrap resample must score exactly what evaluate gives it,
         # although its p(x,z) differs from the base joint's.
-        obs = builtin_berkeley_observations()
+        obs = dataset_from_builtin("berkeley").observations
         j = obs.joint()
         counts = obs.counts()
         stack = np.stack([_resample_counts(counts, obs.n, 3, b) for b in range(40)]) / obs.n

@@ -40,6 +40,8 @@ def write_dataset(tmp_path, cells, x_labels, z_labels, z_ordinal=True) -> tuple[
 Z_IS_X = tuple((x, y, x, k) for x, y, k in (("a", "no", 5), ("a", "yes", 3), ("b", "no", 2), ("b", "yes", 6)))
 # X has one category, so no pair of interventions exists for the do-family contrasts
 ONE_X = tuple(("a", y, z, k) for y, z, k in (("no", "p", 4), ("yes", "p", 2), ("no", "q", 1), ("yes", "q", 5)))
+# X = a occurs once in 8 rows, so about a third of the resamples miss it and leave pcc undefined
+RARE_X = (("a", "yes", "p", 1), ("b", "no", "p", 3), ("b", "yes", "q", 2), ("b", "no", "q", 2))
 
 
 @pytest.mark.parametrize(
@@ -53,15 +55,35 @@ ONE_X = tuple(("a", y, z, k) for y, z, k in (("no", "p", 4), ("yes", "p", 2), ("
         ("sweep", "--model", "simple", "--set", "lam9=0.5", "--sweep", "lam1"),
         ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "0"),
         ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "-1"),
+        ("analyze", "--builtin", "titanic", "--output", "out.csv"),
+        ("analyze", "--builtin", "titanic", "--format", "csv"),
     ],
     ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
-         "set-without-value", "set-unknown-parameter", "zero-points", "negative-points"],
+         "set-without-value", "set-unknown-parameter", "zero-points", "negative-points",
+         "output-without-format", "format-without-output"],
 )
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--seed", "5"),
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--cap", "3"),
+        ("bounds", "--builtin", "titanic", "--seed", "5"),
+        ("bootstrap", "--builtin", "titanic", "--cap", "3"),
+    ],
+    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap"],
+)
+def test_flag_the_command_does_not_read_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -122,6 +144,19 @@ class TestAnalyze:
         assert out.splitlines()[4].split(None, 2) == [undefined, "---", reason]  # no CI, no bound
         _, alone, _ = run(capsys, "analyze", "--csv", data, "--schema", schema, "--measures", other, *flags)
         assert out.splitlines()[5] == alone.splitlines()[4]
+
+    def test_too_many_excluded_resamples_leave_ci_empty(self, capsys, tmp_path):
+        data, schema = write_dataset(tmp_path, RARE_X, "ab", "pq")
+        args = ("analyze", "--csv", data, "--schema", schema, "--bootstrap", "100")
+        code, out, err = run(capsys, *args, "--measures", "pcc,rmi,nace")
+        assert code == 0, err
+        assert out.splitlines()[4].split(None, 2) == ["pcc", "-0.487950", "excluded=32 (> 5% of 100 resamples; no CI)"]
+        _, others, _ = run(capsys, *args, "--measures", "rmi,nace")
+        assert out.splitlines()[5:] == others.splitlines()[4:]
+        out_file = tmp_path / "report.csv"
+        code, _, _ = run(capsys, *args, "--measures", "pcc,rmi", "--format", "csv", "--output", str(out_file))
+        rows = list(csv.DictReader(io.StringIO(out_file.read_text(encoding="utf-8"))))
+        assert code == 0 and [(r["ci_low"], r["ci_high"]) for r in rows] == [("", ""), ("0.000000", "0.490554")]
 
     def test_bounds_flag(self, capsys):
         code, out, _ = run(
@@ -214,6 +249,15 @@ class TestBootstrapCommand:
         assert out.splitlines() == [
             f"dataset: gen (B=50, seed=20260419, rng={RNG_ID})",
             "  pc         ---  a conditioning correlation has magnitude 1; PC undefined",
+        ]
+
+    def test_too_many_excluded_resamples_leave_ci_empty(self, capsys, tmp_path):
+        data, schema = write_dataset(tmp_path, RARE_X, "ab", "pq")
+        code, out, err = run(capsys, "bootstrap", "--csv", data, "--schema", schema, "--measures", "pcc,rmi", "-B", "100")
+        assert code == 0, err
+        assert out.splitlines()[1:] == [
+            "  pcc        -0.487950  ci=--- excluded=32 (> 5% of 100 resamples; no CI)",
+            "  rmi        0.240940  ci=[0.000000, 0.490554]",
         ]
 
     def test_fig5_has_no_records(self, capsys):
@@ -350,6 +394,22 @@ class TestReproduce:
         assert code == 2, err
         lines = out.splitlines()
         assert lines[1:3] == ["  pcc        value --- vs -0.339 FAIL", "  pc         value --- vs -0.321 FAIL"]
+        assert "== berkeley [embedded counts]" in lines
+
+    def test_ci_left_empty_fails_its_check(self, capsys, tmp_path, monkeypatch):
+        # one passenger in second class: about a third of the resamples miss
+        # that class, so pcc and pc get no CI, and the run goes on
+        monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))
+        cells = ((0, 2, "male", 1), (0, 1, "male", 11), (1, 1, "male", 8), (0, 1, "female", 5), (1, 1, "female", 14))
+        people = [(s, c, g) for s, c, g, k in cells for _ in range(k)]
+        rows = ["PassengerId,Survived,Pclass,Sex,Age"] + [f"{i},{s},{c},{g},30" for i, (s, c, g) in enumerate(people)]
+        titanic = tmp_path / "one_second_class.csv"
+        titanic.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "reproduce", "--titanic", str(titanic), "--bootstrap", "100")
+        assert code == 2, err
+        lines = out.splitlines()
+        assert lines[1].endswith("; ci --- vs [-0.4, -0.28] FAIL")
+        assert lines[2].endswith("; ci --- vs [-0.38, -0.26] FAIL")
         assert "== berkeley [embedded counts]" in lines
 
     def test_missing_adult_column_skipped(self, capsys, tmp_path, monkeypatch):

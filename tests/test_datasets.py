@@ -10,9 +10,7 @@ from directcorr.datasets import (
     adult_education_bin,
     berkeley_counts,
     builtin_berkeley,
-    builtin_berkeley_observations,
     builtin_titanic,
-    builtin_titanic_observations,
     dataset_from_builtin,
     load_csv,
     load_csv_report,
@@ -53,7 +51,7 @@ class TestBerkeleyBuiltin:
         assert j.probs[xi, yi, 0] == pytest.approx(512 / 4526, abs=1e-15)
 
     def test_observations_match_counts(self):
-        obs = builtin_berkeley_observations()
+        obs = dataset_from_builtin("berkeley").observations
         assert obs.n == 4526
         assert np.array_equal(obs.counts(), berkeley_counts())
 
@@ -80,7 +78,7 @@ class TestTitanicBuiltin:
         assert counts[2, 1, m] == 47 and counts[2, :, m].sum() == 347
 
     def test_observations(self):
-        obs = builtin_titanic_observations()
+        obs = dataset_from_builtin("titanic").observations
         assert obs.n == 891
         assert np.array_equal(obs.counts(), titanic_counts())
 

@@ -95,6 +95,22 @@ class TestConstruction:
         j = from_counts(np.full((2, 2, 2), 3), (AB, AB, AB))
         assert np.allclose(j.probs, 0.125)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.full((2, 2, 2), 0.5), np.ones((2, 2, 2), dtype=bool), np.full((2, 2, 2), "1")],
+        ids=["fractional", "boolean", "strings"],
+    )
+    def test_from_counts_rejects_non_integer_counts(self, counts):
+        with pytest.raises(InvalidDistribution):
+            from_counts(counts, (AB, AB, AB))
+
+    def test_from_counts_total_exact_above_2_53(self):
+        # a float sum of these cells loses the ones added to 2**53
+        counts = np.ones((2, 2, 2), dtype=np.int64)
+        counts[0, 0, 0] = 2**53
+        j = from_counts(counts, (AB, AB, AB))
+        assert np.array_equal(j.probs, counts / float(2**53 + 7))
+
 
 class TestMarginal:
     """The engine's marginals of one joint."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from directcorr.datasets import TITANIC_ALPHABETS, builtin_titanic_observations, titanic_counts
+from directcorr.datasets import TITANIC_ALPHABETS, berkeley_counts, dataset_from_builtin, titanic_counts
 from directcorr.errors import (
     DegenerateVariable,
     InvalidDistribution,
@@ -10,10 +10,9 @@ from directcorr.errors import (
     SingularDenominator,
     ZeroTotal,
 )
-from directcorr.prob import Alphabet, Joint3, from_counts
+from directcorr.prob import Alphabet, Joint3, ObservationTable, from_counts
 from directcorr.registry import MEASURES, evaluate
 from directcorr.resampling import (
-    ObservationTable,
     _percentile_pair,
     _resample_counts,
     bootstrap_ci,
@@ -27,6 +26,10 @@ def table_from_counts(counts):
     return ObservationTable((AB, AB, AB), counts)
 
 
+def titanic_observations():
+    return dataset_from_builtin("titanic").observations
+
+
 def sparse_observations():
     """Sparse 3x2x3 table: x = 2 never meets z = 0 (a filled cell), and y = 1
     never meets x = 0, so the do-rows of x = 0 and x = 1 have disjoint
@@ -38,7 +41,7 @@ def sparse_observations():
 
 
 # (observations, sparse strategy) per table; the sparse one runs under rule c
-TABLES = {"titanic": (builtin_titanic_observations, "b"), "sparse": (sparse_observations, "c")}
+TABLES = {"titanic": (titanic_observations, "b"), "sparse": (sparse_observations, "c")}
 
 
 def resample_values(obs, measure, b_resamples, seed, s="b"):
@@ -56,7 +59,7 @@ def resample_values(obs, measure, b_resamples, seed, s="b"):
 
 @pytest.fixture(scope="module")
 def titanic_all_ids():
-    return bootstrap_cis(builtin_titanic_observations(), list(MEASURES), 80, seed=9)
+    return bootstrap_cis(titanic_observations(), list(MEASURES), 80, seed=9)
 
 
 class TestObservationTable:
@@ -95,24 +98,34 @@ class TestObservationTable:
         assert t.joint().probs[0, 0, 0] == 0.5
 
     def test_joint_equals_from_counts(self):
+        # the plain float formula, exact for totals below 2**53: the
+        # built-ins' joints and every evaluate on them rely on these bits
         rng = np.random.default_rng(11)
-        for i in range(100):
+        builtins = {"titanic": titanic_counts(), "berkeley": berkeley_counts()}
+        tables = list(builtins.values())
+        for _ in range(100):
             shape = tuple(int(d) for d in rng.integers(1, 5, size=3))
             counts = rng.integers(0, 10 ** int(rng.integers(1, 12)), size=shape)
             counts.flat[0] += 1  # never all zero
-            t = ObservationTable(tuple(Alphabet.of_size(d) for d in shape), counts)
-            assert np.array_equal(t.joint().probs, from_counts(counts, t.alphabets).probs)
+            tables.append(counts)
+        for counts in tables:
+            expected = counts / float(counts.sum())
+            t = ObservationTable(tuple(Alphabet.of_size(d) for d in counts.shape), counts)
+            assert np.array_equal(t.joint().probs, expected)
+            assert np.array_equal(from_counts(counts, t.alphabets).probs, expected)
+        for name, counts in builtins.items():
+            assert np.array_equal(dataset_from_builtin(name).joint.probs, counts / float(counts.sum()))
 
 
 class TestBootstrapCi:
     def test_deterministic_bit_identical(self):
-        obs = builtin_titanic_observations()
+        obs = titanic_observations()
         a = bootstrap_ci(obs, "rcmi", 200, seed=42)
         b = bootstrap_ci(obs, "rcmi", 200, seed=42)
         assert a == b
 
     def test_different_seeds_differ(self):
-        obs = builtin_titanic_observations()
+        obs = titanic_observations()
         a = bootstrap_ci(obs, "rcmi", 100, seed=1)
         b = bootstrap_ci(obs, "rcmi", 100, seed=2)
         assert (a.lower, a.upper) != (b.lower, b.upper)
@@ -120,7 +133,7 @@ class TestBootstrapCi:
     def test_point_estimate_is_full_data_value(self):
         from directcorr.registry import evaluate
 
-        obs = builtin_titanic_observations()
+        obs = titanic_observations()
         full = evaluate(obs.joint(), "rcmi", "b")
         for seed in (1, 7):
             assert bootstrap_ci(obs, "rcmi", 50, seed=seed).point == full
@@ -144,17 +157,17 @@ class TestBootstrapCi:
 
     def test_b_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(builtin_titanic_observations(), "rmi", 1, seed=0)
+            bootstrap_ci(titanic_observations(), "rmi", 1, seed=0)
 
     def test_lower_le_upper(self):
-        obs = builtin_titanic_observations()
+        obs = titanic_observations()
         for m in ("rmi", "rcmi", "nace"):
             r = bootstrap_ci(obs, m, 60, seed=3)
             assert r.lower <= r.upper
 
     @pytest.mark.parametrize("measure", list(MEASURES))
     def test_shared_resamples_match_single_measure(self, titanic_all_ids, measure):
-        obs = builtin_titanic_observations()
+        obs = titanic_observations()
         assert titanic_all_ids[measure] == bootstrap_ci(obs, measure, 80, seed=9)
 
     def test_excluded_resamples_counted(self):
@@ -182,6 +195,17 @@ class TestBootstrapCi:
         t = table_from_counts(counts)
         with pytest.raises(MeasureFailure):
             bootstrap_ci(t, "pcc", 300, seed=2)
+
+    def test_cis_nan_when_exclusions_exceed_cutoff(self):
+        # the same table: pcc gets no interval, and the other measure is unaffected
+        counts = np.zeros((2, 2, 2), dtype=int)
+        counts[0, 0, 0] = 6
+        counts[0, 1, 1] = 5
+        counts[1, 1, 0] = 1
+        cis = bootstrap_cis(table_from_counts(counts), ("pcc", "rmi"), 300, seed=2)
+        assert cis["pcc"].too_many_excluded and np.isnan(cis["pcc"].lower) and np.isnan(cis["pcc"].upper)
+        assert cis["rmi"] == bootstrap_ci(table_from_counts(counts), "rmi", 300, seed=2)
+        assert not cis["rmi"].too_many_excluded
 
     def test_ci_width_shrinks_with_sample_size(self):
         rng = np.random.default_rng(17)
