@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .datasets import (
     DatasetSchema,
-    adult_education_bin,
     builtin_berkeley,
     builtin_titanic,
     load_csv,

@@ -327,8 +327,16 @@ def cmd_reproduce(args) -> int:
     return 0 if n_fail == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit 2, like every other usage error."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="directcorr",
         description="Total- and direct-correlation measures on three-variable categorical data.",
     )

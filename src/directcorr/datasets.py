@@ -6,13 +6,14 @@ embedded here as exact integer counts, so they work offline.  The census
 income dataset has no compact published form and must be loaded from its
 raw CSV; ``scripts/fetch_data.py`` downloads all three source files.
 
-CSV ingestion is driven by a :class:`DatasetSchema`: column names or
-indices for the three roles, raw-value maps, optional binning rules, and
+CSV ingestion is driven by a :class:`DatasetSchema`, checked when built:
+column names or indices for the three roles, optional raw-value maps, and
 numeric encodings for the linear measures.  Category order is fixed by
-the schema declaration, not by file order, so alphabets stay stable
-across resamples.  Each usable row is tallied straight into the count
-table of an :class:`ObservationTable`; skipped rows are counted by the
-:class:`LoadReport`.  The library only ever reads local files.
+the schema, not by file order, so alphabets stay stable across resamples.
+Each role reads a row through one raw-value -> category-index lookup, and
+each usable row is tallied into an :class:`ObservationTable`'s counts.
+The built-ins take their alphabets from their canned schemas.  Only local
+files are ever read.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
 from .errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
-from .prob import Alphabet, Joint3, ObservationTable, from_counts
+from .prob import Alphabet, Joint3, ObservationTable
 from .registry import NumericEncoding
 
 ENV_DATA_DIR = "DIRECTCORR_DATA"
@@ -74,7 +75,7 @@ def berkeley_counts() -> np.ndarray:
 
 def builtin_berkeley() -> Joint3:
     """Exact embedded Berkeley admissions joint (n = 4526)."""
-    return from_counts(berkeley_counts(), BERKELEY_ALPHABETS)
+    return dataset_from_builtin("berkeley").joint
 
 
 # Titanic training split (n = 891): survivors / totals by class and sex.
@@ -107,35 +108,7 @@ def titanic_counts() -> np.ndarray:
 
 def builtin_titanic() -> Joint3:
     """Embedded Titanic class/survival/sex joint (n = 891)."""
-    return from_counts(titanic_counts(), TITANIC_ALPHABETS)
-
-
-# ---------------------------------------------------------------------------
-# Binning rules.
-# ---------------------------------------------------------------------------
-
-_ADULT_EDU_GROUPS: dict[str, int] = {}
-for _lab in ("Preschool", "1st-4th", "5th-6th", "7th-8th", "9th", "10th", "11th", "12th"):
-    _ADULT_EDU_GROUPS[_lab] = 0
-for _lab in ("HS-grad", "Some-college"):
-    _ADULT_EDU_GROUPS[_lab] = 1
-for _lab in ("Assoc-voc", "Assoc-acdm", "Bachelors"):
-    _ADULT_EDU_GROUPS[_lab] = 2
-for _lab in ("Masters", "Prof-school", "Doctorate"):
-    _ADULT_EDU_GROUPS[_lab] = 3
-
-
-def adult_education_bin(raw: str) -> int:
-    """Census education label binned into four ordinal groups (0 lowest .. 3 highest)."""
-    try:
-        return _ADULT_EDU_GROUPS[raw]
-    except KeyError:
-        raise UnknownCategory(f"not an education category: {raw!r}") from None
-
-
-BIN_FUNCTIONS: dict[str, Callable[[str], Hashable]] = {
-    "adult_education": adult_education_bin,
-}
+    return dataset_from_builtin("titanic").joint
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +123,21 @@ class ColumnSpec:
     column: str | int
     categories: tuple[Hashable, ...]
     value_map: Mapping[str, Hashable] | None = None
-    bin: str | None = None
     encoding: tuple[float, ...] | None = None
     ordinal: bool = True
 
-    def to_label(self, raw: str) -> Hashable:
-        if self.bin is not None:
-            return BIN_FUNCTIONS[self.bin](raw)
-        if self.value_map is not None:
-            if raw not in self.value_map:
-                raise UnknownCategory(f"unmapped value {raw!r}")
-            return self.value_map[raw]
-        return raw
+    def __post_init__(self) -> None:
+        self.lookup()  # raises on a map target outside the categories
+
+    def lookup(self) -> dict[str, int]:
+        """Raw field value -> category index, through ``value_map`` when there is one."""
+        index = {label: i for i, label in enumerate(self.categories)}
+        if self.value_map is None:
+            return index
+        undeclared = [label for label in self.value_map.values() if label not in self.categories]
+        if undeclared:
+            raise ValueError(f"column {self.column!r}: map targets {undeclared!r} are not among its categories")
+        return {raw: index[label] for raw, label in self.value_map.items()}
 
 
 @dataclass(frozen=True)
@@ -199,42 +175,47 @@ class DatasetSchema:
         return all(spec.ordinal for spec in self.roles)
 
 
-def _column_spec_from_json(obj: dict) -> ColumnSpec:
+def _checked(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``obj`` if it is a JSON object with every required key and no key outside the two lists."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
+    allowed = (*required, *optional)
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {', '.join(map(repr, unknown))}; allowed: {', '.join(allowed)}")
+    return obj
+
+
+def _column_spec_from_json(obj: dict, role: str) -> ColumnSpec:
+    obj = _checked(obj, f"schema role {role!r}", ("column", "categories"), ("map", "encoding", "ordinal"))
     return ColumnSpec(
         column=obj["column"],
         categories=tuple(obj["categories"]),
         value_map=obj.get("map"),
-        bin=obj.get("bin"),
         encoding=tuple(obj["encoding"]) if "encoding" in obj else None,
         ordinal=bool(obj.get("ordinal", True)),
     )
 
 
 def schema_from_json(text: str) -> DatasetSchema:
-    obj = json.loads(text)
-    csv_opts = obj.get("csv", {})
-    roles = obj["roles"]
-    return DatasetSchema(
-        name=obj["name"],
-        x=_column_spec_from_json(roles["x"]),
-        y=_column_spec_from_json(roles["y"]),
-        z=_column_spec_from_json(roles["z"]),
-        has_header=bool(csv_opts.get("has_header", True)),
-        delimiter=str(csv_opts.get("delimiter", ",")),
-        strip=bool(csv_opts.get("strip", False)),
-        on_unmapped=str(csv_opts.get("on_unmapped", "skip")),
-    )
+    """A schema from its JSON text; a missing or unknown key raises ``ValueError``."""
+    obj = _checked(json.loads(text), "schema", ("name", "roles"), ("csv",))
+    roles = _checked(obj["roles"], "schema 'roles'", ("x", "y", "z"))
+    csv_opts = _checked(obj.get("csv", {}), "schema 'csv'", (), ("has_header", "delimiter", "strip", "on_unmapped"))
+    return DatasetSchema(obj["name"], *(_column_spec_from_json(roles[role], role) for role in "xyz"), **csv_opts)
 
 
 def load_schema(name_or_path: str) -> DatasetSchema:
     """A canned schema by name (titanic, adult, berkeley) or any schema JSON by path."""
     path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        return schema_from_json(path.read_text(encoding="utf-8"))
-    ref = resources.files("directcorr") / "schemas" / f"{name_or_path}.json"
-    if not ref.is_file():
-        raise FileNotFoundError(f"no canned schema named {name_or_path!r} and no such file")
-    return schema_from_json(ref.read_text(encoding="utf-8"))
+    if path.suffix != ".json" or not path.exists():
+        path = resources.files("directcorr") / "schemas" / f"{name_or_path}.json"
+        if not path.is_file():
+            raise FileNotFoundError(f"no canned schema named {name_or_path!r} and no such file")
+    return schema_from_json(path.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -270,40 +251,37 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
-    index_of = [{lab: i for i, lab in enumerate(a.labels)} for a in alphabets]
+    lookups = [spec.lookup() for spec in schema.roles]
     tally = [0] * math.prod(shape)  # flat (x, y, z) cell -> count
     n_skipped = 0
-    examples: list[str] = []
+    examples: dict[str, None] = {}  # distinct messages, in order of first occurrence
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        header = None
-        if schema.has_header:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyAfterFiltering(f"{path}: file is empty") from None
+        header = next(reader, None) if schema.has_header else None
+        if schema.has_header and header is None:
+            raise EmptyAfterFiltering(f"{path}: file is empty")
         cols = _resolve_columns(schema, header)
         width = max(cols) + 1
         for row in reader:
             if not row or len(row) < width:
                 n_skipped += 1
                 continue
-            try:
-                cell = 0
-                for spec, ci, idx, d in zip(schema.roles, cols, index_of, shape):
-                    raw = row[ci].strip() if schema.strip else row[ci]
-                    label = spec.to_label(raw)
-                    if label not in idx:
-                        raise UnknownCategory(f"{label!r} not among declared categories")
-                    cell = cell * d + idx[label]
-            except UnknownCategory as exc:
-                if schema.on_unmapped == "error":
-                    raise
-                n_skipped += 1
-                if len(examples) < 5:
-                    examples.append(str(exc))
+            cell = 0
+            for spec, ci, lookup, d in zip(schema.roles, cols, lookups, shape):
+                raw = row[ci].strip() if schema.strip else row[ci]
+                i = lookup.get(raw)
+                if i is None:
+                    break
+                cell = cell * d + i
+            else:
+                tally[cell] += 1
                 continue
-            tally[cell] += 1
+            message = f"unmapped value {raw!r} in column {spec.column!r}"
+            if schema.on_unmapped == "error":
+                raise UnknownCategory(message)
+            n_skipped += 1
+            if len(examples) < 5:
+                examples[message] = None
     n_rows = sum(tally)
     if not n_rows:
         raise EmptyAfterFiltering(f"{path}: no usable rows for schema {schema.name!r}")
@@ -330,36 +308,28 @@ class Dataset:
     source: str
 
 
-# name -> (count table, alphabets, whether pc applies)
-_BUILTINS = {
-    "berkeley": (berkeley_counts, BERKELEY_ALPHABETS, False),  # departments carry no ordinal interpretation
-    "titanic": (titanic_counts, TITANIC_ALPHABETS, True),
-}
+def _dataset(schema: DatasetSchema, table: ObservationTable, source: str) -> Dataset:
+    return Dataset(
+        name=schema.name,
+        joint=table.joint(),
+        observations=table,
+        encoding=schema.numeric_encoding(),
+        pc_allowed=schema.pc_allowed,
+        source=source,
+    )
+
+
+# name -> embedded count table, in the category order of the canned schema of that name
+_BUILTINS = {"berkeley": berkeley_counts, "titanic": titanic_counts}
 
 
 def dataset_from_builtin(name: str) -> Dataset:
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin dataset {name!r}; available: berkeley, titanic")
-    counts, alphabets, pc_allowed = _BUILTINS[name]
-    table = ObservationTable(alphabets, counts())
-    return Dataset(
-        name=name,
-        joint=table.joint(),
-        observations=table,
-        encoding=NumericEncoding(),
-        pc_allowed=pc_allowed,
-        source="embedded counts",
-    )
+    schema = load_schema(name)
+    return _dataset(schema, ObservationTable(schema.alphabets(), _BUILTINS[name]()), "embedded counts")
 
 
 def dataset_from_csv(path: str | os.PathLike, schema: DatasetSchema) -> tuple[Dataset, LoadReport]:
     report = load_csv_report(path, schema)
-    ds = Dataset(
-        name=schema.name,
-        joint=report.table.joint(),
-        observations=report.table,
-        encoding=schema.numeric_encoding(),
-        pc_allowed=schema.pc_allowed,
-        source=f"csv:{path}",
-    )
-    return ds, report
+    return _dataset(schema, report.table, f"csv:{path}"), report

@@ -20,7 +20,8 @@ probability table; a marginal is a plain sum of its ``probs`` over the
 other axes.  ``ObservationTable`` stores observed triples as their table of
 integer counts, their sufficient statistic, in one int64 per cell whatever
 the number of observations; it is the one place counts are checked and
-normalized.  The divergences also accept plain arrays.
+normalized.  The divergences and entropy also accept plain arrays, checked
+as ``Joint3`` checks its table.
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ class Alphabet:
         return cls(tuple(f"{prefix}{i}" if prefix else i for i in range(d)))
 
 
-def _frozen_probs(probs: Iterable) -> np.ndarray:
-    arr = np.array(probs, dtype=float)
-    if arr.ndim != 3:
-        raise InvalidDistribution(f"expected a 3-dimensional table, got shape {arr.shape}")
+def _checked_probs(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if its entries are finite, nonnegative and sum to 1 within ``NORM_TOL``."""
     if not np.all(np.isfinite(arr)):
         raise InvalidDistribution("non-finite probability entry")
     if np.any(arr < 0):
@@ -82,7 +81,6 @@ def _frozen_probs(probs: Iterable) -> np.ndarray:
     total = float(arr.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
-    arr.setflags(write=False)
     return arr
 
 
@@ -103,7 +101,10 @@ class Joint3:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_probs(self.probs)
+        arr = np.array(self.probs, dtype=float)
+        if arr.ndim != 3:
+            raise InvalidDistribution(f"expected a 3-dimensional table, got shape {arr.shape}")
+        _checked_probs(arr).setflags(write=False)
         object.__setattr__(self, "alphabets", _check_alphabets(self.alphabets, arr.shape))
         object.__setattr__(self, "probs", arr)
 
@@ -179,14 +180,14 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 def entropy(d: Distribution) -> float:
     """Shannon entropy in bits."""
-    return float(_entropy_rows(_probs_of(d)[None])[0])
+    return float(_entropy_rows(_checked_probs(_probs_of(d))[None])[0])
 
 
 def _pair(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
     pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ShapeMismatch(f"shapes differ: {pa.shape} vs {qa.shape}")
-    return pa, qa
+    return _checked_probs(pa), _checked_probs(qa)
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

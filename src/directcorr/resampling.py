@@ -64,8 +64,9 @@ def _percentile_pair(values: np.ndarray, b: int) -> tuple[float, float]:
             out.append(float(srt[-1]))
         else:
             k = int(math.floor(h))
-            frac = h - k
-            out.append(float(srt[k - 1] + frac * (srt[k] - srt[k - 1])))
+            lo, hi = srt[k - 1], srt[k]
+            # between equal infinite neighbours, interpolating would compute inf - inf = NaN
+            out.append(float(lo if lo == hi and math.isinf(lo) else lo + (h - k) * (hi - lo)))
     return out[0], out[1]
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,20 +71,53 @@ def test_usage_error_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--seed", "5"),
-        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--cap", "3"),
-        ("bounds", "--builtin", "titanic", "--seed", "5"),
-        ("bootstrap", "--builtin", "titanic", "--cap", "3"),
+        (("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--seed", "5"), None),
+        (("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--cap", "3"), None),
+        (("bounds", "--builtin", "titanic", "--seed", "5"), None),
+        (("bootstrap", "--builtin", "titanic", "--cap", "3"), None),
+        (("analyze", "--builtin", "titanic", "--strategy", "z"), "argument --strategy: invalid choice: 'z'"),
     ],
-    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap"],
+    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap", "invalid-strategy"],
 )
-def test_flag_the_command_does_not_read_rejected(capsys, argv):
+def test_flag_the_command_does_not_read_rejected(capsys, argv, message):
+    """Argparse's own errors are one ``error:`` line too, with exit 2."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (message or "unrecognized arguments: " + " ".join(argv[-2:])) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda s: s["roles"]["x"].update(bin="nope"), "schema role 'x' has unknown key 'bin'"),
+        (lambda s: s["roles"]["z"].update(mapp={"P": "p"}), "schema role 'z' has unknown key 'mapp'"),
+        (lambda s: s.update(extra=1), "schema has unknown key 'extra'"),
+        (lambda s: s["csv"].update(header=True), "schema 'csv' has unknown key 'header'"),
+        (lambda s: s["roles"]["y"].pop("categories"), "schema role 'y' is missing 'categories'"),
+        (lambda s: s["roles"]["x"].pop("column"), "schema role 'x' is missing 'column'"),
+        (lambda s: s.pop("name"), "schema is missing 'name'"),
+        (lambda s: s.pop("roles"), "schema is missing 'roles'"),
+        (lambda s: s["roles"].pop("z"), "schema 'roles' is missing 'z'"),
+        (lambda s: s["roles"]["z"].update(map={"p": "p", "q": "Q"}), "map targets ['Q'] are not among"),
+    ],
+    ids=["bin", "misspelt-map", "top-level-key", "csv-key", "no-categories", "no-column", "no-name",
+         "no-roles", "no-role", "undeclared-map-target"],
+)
+def test_malformed_schema_exit_2(capsys, tmp_path, edit, message):
+    """A malformed schema fails at load with one ``error:`` line, not a traceback or a silent skip."""
+    data, schema = write_dataset(tmp_path, ONE_X, ("a",), ("p", "q"))
+    obj = json.loads(Path(schema).read_text(encoding="utf-8"))
+    edit(obj)
+    Path(schema).write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--csv", data, "--schema", schema, "--measures", "rmi")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 class TestAnalyze:

@@ -7,7 +7,6 @@ from directcorr.datasets import (
     BERKELEY_ALPHABETS,
     TITANIC_ALPHABETS,
     DatasetSchema,
-    adult_education_bin,
     berkeley_counts,
     builtin_berkeley,
     builtin_titanic,
@@ -94,11 +93,11 @@ class TestAdultEducationBin:
         ],
     )
     def test_group_mapping(self, label, group):
-        assert adult_education_bin(label) == group
+        x = load_schema("adult").x
+        assert x.categories[x.lookup()[label]] == group
 
     def test_unknown_category(self):
-        with pytest.raises(UnknownCategory):
-            adult_education_bin("Kindergarten")
+        assert "Kindergarten" not in load_schema("adult").x.lookup()
 
 
 def synthesize_titanic_csv(path):
@@ -179,6 +178,14 @@ class TestLoadCsv:
         assert report.n_skipped == 2
         assert report.skipped_examples
 
+    def test_skipped_examples_distinct(self, tmp_path):
+        path = tmp_path / "adult.data"
+        bad = ADULT_SAMPLE.splitlines()[0].replace("Bachelors", "Kindergarten")
+        path.write_text(ADULT_SAMPLE + "\n".join([bad] * 5) + "\n", encoding="utf-8")
+        report = load_csv_report(path, load_schema("adult"))
+        assert (report.n_rows, report.n_skipped) == (5, 5)
+        assert report.skipped_examples == ("unmapped value 'Kindergarten' in column 3",)
+
     def test_unmapped_error_policy(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("Pclass,Survived,Sex\n9,1,male\n", encoding="utf-8")
@@ -230,6 +237,10 @@ class TestSchemas:
         assert load_schema("titanic").pc_allowed
         assert load_schema("adult").pc_allowed
         assert not load_schema("berkeley").pc_allowed  # departments are unordered
+
+    def test_builtin_alphabets_are_the_canned_schemas(self):
+        assert load_schema("berkeley").alphabets() == BERKELEY_ALPHABETS
+        assert load_schema("titanic").alphabets() == TITANIC_ALPHABETS
 
     def test_distinct_columns_required(self):
         schema = load_schema("titanic")

@@ -236,6 +236,18 @@ class TestTotalVariation:
         assert total_variation(dist(0.58, 0.42), dist(0.26, 0.74)) == pytest.approx(0.32, abs=1e-12)
 
 
+@pytest.mark.parametrize("fn", [entropy, kl_divergence, js_divergence, sqrt_js, total_variation])
+@pytest.mark.parametrize(
+    "bad", [dist(math.nan, 1.0), dist(2.0, -1.0), dist(0.5, 0.6)], ids=["nan", "negative", "unnormalized"]
+)
+def test_public_functions_check_their_inputs(fn, bad):
+    """Plain arrays get the checks a ``Joint3`` gets, on either side of a divergence."""
+    calls = [(bad,)] if fn is entropy else [(bad, dist(0.5, 0.5)), (dist(0.5, 0.5), bad)]
+    for args in calls:
+        with pytest.raises(InvalidDistribution):
+            fn(*args)
+
+
 finite_dist = st.integers(2, 6).flatmap(
     lambda n: st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
 ).map(lambda w: np.asarray(w) / np.sum(w))

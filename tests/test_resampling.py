@@ -187,6 +187,13 @@ class TestBootstrapCi:
             assert (r.lower, r.upper) == _percentile_pair(kept, kept.size)
             assert np.isfinite(r.lower) and np.isfinite(r.upper)
 
+    def test_percentile_between_equal_infinite_neighbours(self):
+        # rule c leaves ace_kl +inf on most resamples of the sparse table, so
+        # both order statistics around the upper percentile are +inf
+        assert _percentile_pair(np.r_[np.linspace(0.0, 1.0, 90), np.full(10, np.inf)], 100)[1] == np.inf
+        ci = bootstrap_ci(sparse_observations(), "ace_kl", 100, seed=1, s="c")
+        assert (ci.lower, ci.upper) == (np.inf, np.inf)
+
     def test_failure_when_exclusions_exceed_cutoff(self):
         counts = np.zeros((2, 2, 2), dtype=int)
         counts[0, 0, 0] = 6
