@@ -159,6 +159,9 @@ class DatasetSchema:
             raise ValueError(f"the three roles must map to distinct columns, got {cols!r}")
         if self.on_unmapped not in ("skip", "error"):
             raise ValueError("on_unmapped must be 'skip' or 'error'")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be a 1-character string, got {self.delimiter!r}")
+        self.numeric_encoding().codes(self.alphabets())  # raises on a wrong-length or non-finite encoding
 
     @property
     def roles(self) -> tuple[ColumnSpec, ColumnSpec, ColumnSpec]:
@@ -190,7 +193,14 @@ def _checked(obj, where: str, required: tuple[str, ...], optional: tuple[str, ..
 
 
 def _column_spec_from_json(obj: dict, role: str) -> ColumnSpec:
-    obj = _checked(obj, f"schema role {role!r}", ("column", "categories"), ("map", "encoding", "ordinal"))
+    where = f"schema role {role!r}"
+    obj = _checked(obj, where, ("column", "categories"), ("map", "encoding", "ordinal"))
+    if not isinstance(obj["categories"], list) or any(isinstance(c, (list, dict)) for c in obj["categories"]):
+        raise ValueError(f"{where}: 'categories' must be a list of strings or numbers")
+    if not isinstance(obj.get("map", {}), dict):
+        raise ValueError(f"{where}: 'map' must be a JSON object of raw value -> category")
+    if not isinstance(obj.get("encoding", []), list):
+        raise ValueError(f"{where}: 'encoding' must be a list of numbers")
     return ColumnSpec(
         column=obj["column"],
         categories=tuple(obj["categories"]),
@@ -201,7 +211,7 @@ def _column_spec_from_json(obj: dict, role: str) -> ColumnSpec:
 
 
 def schema_from_json(text: str) -> DatasetSchema:
-    """A schema from its JSON text; a missing or unknown key raises ``ValueError``."""
+    """A schema from its JSON text; a missing or unknown key or a value of the wrong type raises ``ValueError``."""
     obj = _checked(json.loads(text), "schema", ("name", "roles"), ("csv",))
     roles = _checked(obj["roles"], "schema 'roles'", ("x", "y", "z"))
     csv_opts = _checked(obj.get("csv", {}), "schema 'csv'", (), ("has_header", "delimiter", "strip", "on_unmapped"))

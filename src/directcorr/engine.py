@@ -48,6 +48,9 @@ from .prob import Joint3, _entropy_rows, _js_rows, _kl_rows, _tv_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 SUPPORTS = ("dense", "on_support")
+# Table cells per engine call when a long stack (bootstrap resamples, bound
+# candidates) is evaluated in chunks: keeps each temporary in cache.
+STACK_CELLS = 2**14
 
 DEGENERATE = "a variable is constant under its encoding; PCC undefined"
 SINGULAR = "a conditioning correlation has magnitude 1; PC undefined"

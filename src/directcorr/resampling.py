@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import measure_values
+from .engine import STACK_CELLS, measure_values
 from .errors import MeasureFailure
 from .prob import ObservationTable
 from .registry import DEFAULT_ENCODING, NumericEncoding, evaluate, label_codes
@@ -32,7 +32,6 @@ from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 RNG_ID = "numpy-pcg64/seedseq(seed,b)"
 MAX_EXCLUDED_FRACTION = 0.05
-STACK_CELLS = 2**18  # table cells evaluated per engine call; bounds memory for large B
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@ import pytest
 
 from directcorr.bounds import (
     BOUND_MEASURES,
+    ROW_CONVEX,
     CouplingIterator,
     achievable_bound,
     achievable_bounds,
+    candidate_family,
     candidate_values,
+    row_constant_candidates,
     rmi_max_uniform,
 )
 from directcorr.datasets import dataset_from_builtin
@@ -192,3 +195,136 @@ class TestAchievableBounds:
         for k in (2, 3, 4):
             b = achievable_bound(identity_coupling_joint(k), "rmi")
             assert b.max_value == pytest.approx(rmi_max_uniform(k), abs=1e-9)
+
+
+# -- structured bounds against full enumeration ---------------------------------
+
+STRUCTURED = (*ROW_CONVEX, "rcmi")
+
+
+def enumerated_bounds(j: Joint3, measures, s) -> dict:
+    """measure -> (max, argmax fmap) by full enumeration, with the pick rule of ``achievable_bounds``.
+
+    The observed joint comes first, then every coupling in index order, and
+    a candidate replaces the best only when it is strictly greater.
+    """
+    it = CouplingIterator(j)
+    own = candidate_values(j, j.probs[None], measures, s)
+    best = {m: (float(own[m][0]), None) for m in measures}
+    for start in range(0, len(it), 4096):
+        stop = min(start + 4096, len(it))
+        vals = candidate_values(j, it.joints_chunk(it.digits_chunk(start, stop)), measures, s)
+        for m in measures:
+            k = int(np.argmax(vals[m]))
+            if vals[m][k] > best[m][0]:
+                best[m] = (float(vals[m][k]), start + k)
+    out = {}
+    for m, (value, idx) in best.items():
+        fmap = None
+        if idx is not None:
+            fm = np.zeros((it.d_x, it.d_z), dtype=int)
+            for (x, z), y in zip(it.cells, it.digits_chunk(idx, idx + 1)[0]):
+                fm[x, z] = y
+            fmap = tuple(tuple(int(v) for v in row) for row in fm)
+        out[m] = (value, fmap)
+    return out
+
+
+def value_at(j: Joint3, fmap, measure: str, s) -> float:
+    """Engine value of the coupling ``fmap`` (the observed joint when None) in the bound convention."""
+    if fmap is None:
+        return float(candidate_values(j, j.probs[None], [measure], s)[measure][0])
+    pxz = j.probs.sum(axis=1)
+    q = np.zeros(j.shape)
+    for (x, z), y in np.ndenumerate(np.array(fmap)):
+        q[x, y, z] = pxz[x, z]
+    return float(candidate_values(j, q[None], [measure], s)[measure][0])
+
+
+def assert_matches_enumeration(j: Joint3, measures, s) -> None:
+    ref = enumerated_bounds(j, measures, s)
+    got = achievable_bounds(j, measures, s)
+    for m in measures:
+        value, fmap = ref[m]
+        r = got[m]
+        assert abs(r.max_value - value) <= 1e-12 * abs(value), (m, s, r.max_value, value)
+        assert value_at(j, r.argmax_fmap, m, s) == r.max_value, (m, s)
+        if j.shape[1] == 2:
+            assert (r.max_value, r.argmax_fmap) == (value, fmap), (m, s)
+
+
+def generated_442(seed: int) -> Joint3:
+    """The benchmark's generated 4x2x4 table (``perfbench/workloads.py``, bounds workload) for ``seed``."""
+    rng = np.random.default_rng([seed, 1])
+    cells = 32
+    counts = 1 + rng.multinomial(20_000 - cells, rng.dirichlet(np.full(cells, 2.0))).reshape(4, 2, 4)
+    return Joint3(tuple(Alphabet.of_size(d) for d in counts.shape), counts / counts.sum())
+
+
+def sparse_joint(rng, shape) -> Joint3:
+    """A random joint with about a third of its (x,z) cells empty, every x and z still visited."""
+    while True:
+        counts = rng.integers(1, 30, size=shape) * (rng.random(shape[::2]) < 0.65)[:, None, :]
+        if counts.sum(axis=(1, 2)).all() and counts.sum(axis=(0, 1)).all() and not counts.all():
+            return Joint3(tuple(Alphabet.of_size(d) for d in shape), counts / counts.sum())
+
+
+class TestStructuredBounds:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_442(self, seed):
+        assert_matches_enumeration(generated_442(seed), STRUCTURED, "b")
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    @pytest.mark.parametrize("name", ["titanic", "berkeley"])
+    def test_builtins(self, name, s):
+        assert_matches_enumeration(dataset_from_builtin(name).joint, BOUND_MEASURES, s)
+
+    def test_c7_tables(self):
+        # the random joints of test_acceptance.test_c7_every_measure_below_enumerated_bound
+        rng = np.random.default_rng(704)
+        for _ in range(100):
+            shape = tuple(int(v) for v in rng.integers(2, 4, 3))
+            assert_matches_enumeration(random_joint(rng, shape), STRUCTURED, "b")
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_sparse_tables(self, s):
+        rng = np.random.default_rng(1010)
+        for shape in [(3, 2, 3), (4, 2, 3), (3, 2, 4), (2, 2, 5), (3, 3, 2), (2, 3, 3)] * 3:
+            assert_matches_enumeration(sparse_joint(rng, shape), BOUND_MEASURES, s)
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_three_outcome_tables(self, s):
+        rng = np.random.default_rng(1011)
+        for shape in [(2, 3, 2), (3, 3, 2), (2, 3, 4), (4, 3, 1)]:
+            assert_matches_enumeration(random_joint(rng, shape, alpha=0.5), BOUND_MEASURES, s)
+
+    def test_stratum_scores_a_rounding_apart_are_kept(self):
+        # In stratum 0, x = 0 and x = 2 have equal mass, so patterns that tie
+        # in exact arithmetic score an ulp apart there; the float argmax of
+        # the whole family uses the lower-scored one, so the set keeps both.
+        counts = np.array([[[49, 20], [21, 23]], [[2, 6], [39, 6]], [[26, 24], [44, 25]]])
+        j = Joint3(tuple(Alphabet.of_size(d) for d in counts.shape), counts / counts.sum())
+        assert_matches_enumeration(j, ("rcmi",), "b")
+
+    def test_row_convex_candidates_on_full_support(self, rng):
+        for shape in [(4, 2, 4), (3, 3, 2), (2, 4, 3)]:
+            it = CouplingIterator(random_joint(rng, shape))
+            d_x, d_y, _ = shape
+            assert len(row_constant_candidates(it)) == d_y**d_x
+            for s in "abc":
+                for m in ROW_CONVEX:
+                    assert candidate_family(m, it, s) == "rows"
+                assert candidate_family("rcmi", it, s) == "strata"
+
+    def test_sparse_support_falls_back_under_rules_b_and_c(self, rng):
+        it = CouplingIterator(sparse_joint(rng, (3, 2, 3)))
+        for m in ROW_CONVEX:
+            assert candidate_family(m, it, "a") == "rows"
+            assert candidate_family(m, it, "b") == "all"
+            assert candidate_family(m, it, "c") == "all"
+        for m in ("rpmi", "ricmi_xy", "ricmi_yx", "ricmi_two"):
+            assert candidate_family(m, it, "a") == "all"
+
+    def test_count_reports_the_whole_family(self):
+        j = generated_442(1)
+        assert {r.n_enumerated for r in achievable_bounds(j, STRUCTURED).values()} == {2**16}

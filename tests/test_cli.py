@@ -104,9 +104,15 @@ def test_flag_the_command_does_not_read_rejected(capsys, argv, message):
         (lambda s: s.pop("roles"), "schema is missing 'roles'"),
         (lambda s: s["roles"].pop("z"), "schema 'roles' is missing 'z'"),
         (lambda s: s["roles"]["z"].update(map={"p": "p", "q": "Q"}), "map targets ['Q'] are not among"),
+        (lambda s: s["csv"].update(delimiter=";;"), "delimiter must be a 1-character string, got ';;'"),
+        (lambda s: s["roles"]["z"].update(map=["p"]), "schema role 'z': 'map' must be a JSON object"),
+        (lambda s: s["roles"]["z"]["categories"].append(["r"]), "schema role 'z': 'categories' must be a list"),
+        (lambda s: s["roles"]["z"].update(encoding=[1]), "encoding for ('p', 'q') must be 2 finite values"),
+        (lambda s: s["roles"]["z"].update(encoding=1), "schema role 'z': 'encoding' must be a list"),
     ],
     ids=["bin", "misspelt-map", "top-level-key", "csv-key", "no-categories", "no-column", "no-name",
-         "no-roles", "no-role", "undeclared-map-target"],
+         "no-roles", "no-role", "undeclared-map-target", "long-delimiter", "list-map", "list-category",
+         "short-encoding", "scalar-encoding"],
 )
 def test_malformed_schema_exit_2(capsys, tmp_path, edit, message):
     """A malformed schema fails at load with one ``error:`` line, not a traceback or a silent skip."""
