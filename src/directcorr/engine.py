@@ -155,7 +155,10 @@ class BatchContext:
     """Every registry measure on one stack of candidate joints, shape (n, d_X, d_Y, d_Z).
 
     ``codes`` are the numeric codes of the X, Y and Z labels, used by pcc
-    and pc only; the default is the ordinal position of each label.
+    and pc only; the default is the ordinal position of each label.  The
+    conditionals, their fills and the reconstructions read the marginals
+    p(x) and p(y) only through ``px`` and ``py``, so a subclass may set them
+    (the bound search scores one stratum under a whole coupling's marginals).
     """
 
     def __init__(
@@ -323,6 +326,16 @@ class BatchContext:
         """JS(p, q) per candidate, over the support of p under the on_support convention."""
         return _js_rows(p, q, p > 0 if self.support == "on_support" else None)
 
+    def js_pair(self, part: str) -> tuple[np.ndarray, np.ndarray]:
+        """The pair whose JS is rpmi's ('rpmi': the table and its PMI reconstruction) or an ICMI direction's ('xy', 'yx')."""
+        if part == "rpmi":
+            return self.q, self.q_pmi()[0]
+        return self.icmi_pair(part)
+
+    def js_part(self, part: str) -> np.ndarray:
+        """JS of ``js_pair(part)`` per candidate: the square of rpmi, ricmi_xy or ricmi_yx."""
+        return self.js_to(*self.js_pair(part))
+
 
 def _k_pc(c: BatchContext) -> np.ndarray:
     cxy = c.value("pcc")
@@ -354,11 +367,11 @@ _KERNELS: dict[str, Callable[[BatchContext], np.ndarray]] = {
     "cmi_js": lambda c: c.js_to(c.q, c.q_cmi()),
     "rcmi": lambda c: np.sqrt(c.value("cmi_js")),
     "pmi": lambda c: _kl_rows(c.q, c.q_pmi()[0]),
-    "rpmi": lambda c: np.sqrt(c.js_to(c.q, c.q_pmi()[0])),
+    "rpmi": lambda c: np.sqrt(c.js_part("rpmi")),
     "icmi_xy": lambda c: _kl_rows(*c.icmi_pair("xy")),
     "icmi_yx": lambda c: _kl_rows(*c.icmi_pair("yx")),
-    "ricmi_xy": lambda c: np.sqrt(c.js_to(*c.icmi_pair("xy"))),
-    "ricmi_yx": lambda c: np.sqrt(c.js_to(*c.icmi_pair("yx"))),
+    "ricmi_xy": lambda c: np.sqrt(c.js_part("xy")),
+    "ricmi_yx": lambda c: np.sqrt(c.js_part("yx")),
     "ricmi_two": lambda c: 0.5 * (c.value("ricmi_xy") + c.value("ricmi_yx")),
     **{m: _pair_kernel(m) for m in PAIR_KERNELS},
     "mi_do": lambda c: mi_rows(c.pdo, c.px, c.pdo.sum(axis=1))[1],

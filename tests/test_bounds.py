@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import directcorr.bounds as bounds_module
 from directcorr.bounds import (
     BOUND_MEASURES,
     ROW_CONVEX,
+    SEARCHED,
     CouplingIterator,
     achievable_bound,
     achievable_bounds,
@@ -11,6 +13,7 @@ from directcorr.bounds import (
     candidate_values,
     row_constant_candidates,
     rmi_max_uniform,
+    search_candidates,
 )
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import ExplosionGuard, UnknownMeasure
@@ -241,9 +244,11 @@ def value_at(j: Joint3, fmap, measure: str, s) -> float:
     return float(candidate_values(j, q[None], [measure], s)[measure][0])
 
 
-def assert_matches_enumeration(j: Joint3, measures, s) -> None:
+def assert_matches_enumeration(j: Joint3, measures, s, each: bool = False) -> None:
+    """Bounds equal full enumeration; with ``each``, every measure is bounded on its own,
+    so no other measure's candidate set can hold its maximizer for it."""
     ref = enumerated_bounds(j, measures, s)
-    got = achievable_bounds(j, measures, s)
+    got = {m: achievable_bound(j, m, s) for m in measures} if each else achievable_bounds(j, measures, s)
     for m in measures:
         value, fmap = ref[m]
         r = got[m]
@@ -272,7 +277,33 @@ def sparse_joint(rng, shape) -> Joint3:
 class TestStructuredBounds:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_442(self, seed):
-        assert_matches_enumeration(generated_442(seed), STRUCTURED, "b")
+        assert_matches_enumeration(generated_442(seed), BOUND_MEASURES, "b")
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_full_support_523(self, s):
+        rng = np.random.default_rng(1012)
+        assert_matches_enumeration(random_joint(rng, (5, 2, 3)), BOUND_MEASURES, s)
+
+    @pytest.mark.parametrize("s", ["b", "c"])
+    def test_sparse_524(self, s):
+        rng = np.random.default_rng(1013)
+        j = sparse_joint(rng, (5, 2, 4))
+        it = CouplingIterator(j)
+        assert {candidate_family(m, it, s) for m in SEARCHED if m != "rpmi" or s == "c"} == {"search"}
+        assert_matches_enumeration(j, BOUND_MEASURES, s)
+        assert_matches_enumeration(j, tuple(SEARCHED), s, each=True)
+
+    def test_search_scores_the_grid_ends_on_the_interior_support(self):
+        # Nine strata hold only x = 0 and one small stratum only x = 1.  The
+        # ricmi_xy maximizers send the small stratum alone to one y, so t lies
+        # in an end cell of the grid, at 0.01 or 0.99; under rule b a pattern
+        # that cannot reach t = 0 still has p(y)-filled cells there.
+        pxz = np.zeros((2, 10))
+        pxz[0, :9], pxz[1, 9] = 0.11, 0.01
+        j = Joint3(tuple(Alphabet.of_size(d) for d in (2, 2, 10)), np.stack([pxz / 2, pxz / 2], axis=1) / pxz.sum())
+        it = CouplingIterator(j)
+        assert {candidate_family(m, it, "b") for m in ("ricmi_xy", "ricmi_two")} == {"search"}
+        assert_matches_enumeration(j, ("ricmi_xy", "ricmi_two"), "b", each=True)
 
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     @pytest.mark.parametrize("name", ["titanic", "berkeley"])
@@ -322,9 +353,83 @@ class TestStructuredBounds:
             assert candidate_family(m, it, "a") == "rows"
             assert candidate_family(m, it, "b") == "all"
             assert candidate_family(m, it, "c") == "all"
-        for m in ("rpmi", "ricmi_xy", "ricmi_yx", "ricmi_two"):
+        # 2^7 couplings: a scan costs less than tabulating the strata
+        for m in SEARCHED:
             assert candidate_family(m, it, "a") == "all"
+
+    def test_searched_families(self, rng):
+        it = CouplingIterator(generated_442(1))
+        for s in "abc":
+            for m in SEARCHED:
+                assert candidate_family(m, it, s) == "search"
+        sparse = CouplingIterator(sparse_joint(rng, (5, 2, 4)))
+        assert candidate_family("rpmi", sparse, "b") == "all"  # the p(y) fill makes q_pmi quadratic in t
+        for m in SEARCHED:
+            assert candidate_family(m, sparse, "a") == candidate_family(m, sparse, "c") == "search"
+            if m != "rpmi":
+                assert candidate_family(m, sparse, "b") == "search"
+        three = CouplingIterator(random_joint(rng, (3, 3, 3)))
+        for s in "abc":
+            for m in SEARCHED:
+                assert candidate_family(m, three, s) == "all"
+        # A stratum of 11 supported cells has more patterns than the search tabulates.
+        assert candidate_family("ricmi_yx", CouplingIterator(random_joint(rng, (10, 2, 2))), "b") == "search"
+        assert candidate_family("ricmi_yx", CouplingIterator(random_joint(rng, (11, 2, 2))), "b") == "all"
+
+    def test_search_sends_few_couplings_to_the_engine(self, monkeypatch):
+        sent = []
+
+        def counting(j, stack, measures, s=bounds_module.DEFAULT_STRATEGY):
+            sent.append(len(stack))
+            return candidate_values(j, stack, measures, s)
+
+        monkeypatch.setattr(bounds_module, "candidate_values", counting)
+        achievable_bounds(generated_442(1), tuple(SEARCHED))
+        assert 0 < sum(sent) < 0.01 * 2**16
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_bounds_few_nodes(self, monkeypatch, seed):
+        # The chord bound keeps rpmi's search as short as the ricmi measures'
+        # on every table; bounding each cell by its larger end value instead
+        # takes 6,032 nodes for rpmi on seed 2.
+        bounded = []
+        bound = bounds_module._Search.bound
+
+        def counting(self, rest, reach, t, acc):
+            bounded[-1] += len(t)
+            return bound(self, rest, reach, t, acc)
+
+        monkeypatch.setattr(bounds_module._Search, "bound", counting)
+        for m in SEARCHED:
+            bounded.append(0)
+            achievable_bound(generated_442(seed), m)
+        assert 0 < max(bounded) <= 2**16 // 32, bounded
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_search_on_small_families(self, monkeypatch, s):
+        # Families this small are scanned whole; searched here anyway,
+        # the search must name what full enumeration names.
+        monkeypatch.setattr(bounds_module, "SEARCH_MIN", 0)
+        rng = np.random.default_rng(1014)
+        tables = [dataset_from_builtin("titanic").joint, *(j for _, j in fig5_corpus())]
+        tables += [sparse_joint(rng, shape) for shape in [(3, 2, 3), (4, 2, 3), (3, 2, 4), (2, 2, 5)] * 2]
+        tables += [random_joint(rng, shape, alpha=0.5) for shape in [(2, 2, 2), (3, 2, 2), (4, 2, 1), (1, 2, 4)]]
+        for j in tables:
+            it = CouplingIterator(j)
+            if it.d_y == 2:
+                assert candidate_family("ricmi_yx", it, s) == "search"
+            assert_matches_enumeration(j, tuple(SEARCHED), s, each=True)
+
+    def test_many_near_ties_scan_the_whole_family(self, monkeypatch):
+        # With a single x, every coupling gives ricmi_xy the same value.
+        monkeypatch.setattr(bounds_module, "SEARCH_MIN", 0)
+        j = random_joint(np.random.default_rng(1015), (1, 2, 5))
+        it = CouplingIterator(j)
+        assert len(search_candidates(it, ("ricmi_xy",), "b")) == len(it)
+        monkeypatch.setattr(bounds_module, "MAX_CONFIRM", 8)
+        assert search_candidates(it, ("ricmi_xy",), "b") is None
+        assert_matches_enumeration(j, tuple(SEARCHED), "b")
 
     def test_count_reports_the_whole_family(self):
         j = generated_442(1)
-        assert {r.n_enumerated for r in achievable_bounds(j, STRUCTURED).values()} == {2**16}
+        assert {r.n_enumerated for r in achievable_bounds(j).values()} == {2**16}
