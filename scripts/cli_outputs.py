@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Record what a fixed list of CLI commands prints, to compare two versions byte for byte.
+
+Generates its input files into OUTDIR from a fixed seed, then runs each
+command of ``COMMANDS`` as ``python -m directcorr.cli`` with OUTDIR as the
+working directory, so every path in an argv is relative.  For each command
+it writes ``NN_name.txt`` with the argv, the exit code, stdout and stderr;
+files a command writes (``--output``) land in OUTDIR beside them.  The
+package comes from the interpreter's path, so two versions are compared
+by running this script once against each and diffing the directories:
+
+    PYTHONPATH=old/src python scripts/cli_outputs.py /tmp/old
+    PYTHONPATH=new/src python scripts/cli_outputs.py /tmp/new
+    diff -r /tmp/old /tmp/new
+
+Standard library and numpy only; the package never imports this script.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20260419
+
+# The benchmark's sweep: every registry id except pc, on 201 points under rule c.
+SWEEP_IDS = (
+    "pcc", "mi", "nmi_y", "nmi_x", "nmi_max", "rmi", "cmi", "cmi_js", "rcmi", "pmi", "rpmi",
+    "icmi_xy", "icmi_yx", "ricmi_xy", "ricmi_yx", "ricmi_two",
+    "ace", "nace", "ace_kl", "race", "mi_do", "rmi_do",
+)
+
+GEN442 = {
+    "name": "gen442",
+    "csv": {"has_header": True},
+    "roles": {
+        "x": {"column": "gx", "categories": ["a", "b", "c", "d"]},
+        "y": {"column": "gy", "categories": ["no", "yes"]},
+        "z": {"column": "gz", "categories": ["p", "q", "r", "s"]},
+    },
+}
+TITANIC = {
+    "name": "titanic",
+    "csv": {"has_header": True},
+    "roles": {
+        "x": {"column": "Pclass", "categories": ["1", "2", "3"]},
+        "y": {"column": "Survived", "categories": ["0", "1"]},
+        "z": {"column": "Sex", "categories": ["female", "male"]},
+    },
+}
+# X = a occurs once in 8 rows, so about a third of the resamples leave pcc undefined
+RARE_X_ROWS = ("a,yes,p", "b,no,p", "b,no,p", "b,no,p", "b,yes,q", "b,yes,q", "b,no,q", "b,no,q")
+
+# (file name, base schema, edit) of each schema that must be refused at load
+BAD_SCHEMAS = (
+    ("bad_boolean_column.json", GEN442, lambda s: s["roles"]["x"].update(column=True)),
+    ("bad_negative_column.json", GEN442, lambda s: s["roles"]["x"].update(column=-1)),
+    ("bad_fractional_column.json", GEN442, lambda s: s["roles"]["x"].update(column=1.5)),
+    ("bad_string_ordinal.json", GEN442, lambda s: s["roles"]["z"].update(ordinal="no")),
+    ("bad_string_has_header.json", GEN442, lambda s: s["csv"].update(has_header="false")),
+    ("bad_string_strip.json", GEN442, lambda s: s["csv"].update(strip="false")),
+    ("bad_numeric_name.json", GEN442, lambda s: s.update(name=5)),
+    ("bad_boolean_encoding.json", GEN442, lambda s: s["roles"]["y"].update(encoding=[True, False])),
+    ("bad_null_category.json", GEN442, lambda s: s["roles"]["z"]["categories"].insert(0, None)),
+    ("bad_numeric_categories.json", TITANIC, lambda s: s["roles"]["y"].update(categories=[0, 1])),
+)
+
+BUILTIN_CI = [
+    ["analyze", "--builtin", name, "--bounds", "--bootstrap", "1000", *seed]
+    for seed in ([], ["--seed", "1"], ["--seed", "2"]) for name in ("titanic", "berkeley")
+]
+
+# every id on every built-in under each fill rule
+BUILTIN_IDS = [
+    ["analyze", "--builtin", name, "--measures", ",".join(("pc", *SWEEP_IDS)), "--strategy", rule]
+    for name in ("titanic", "berkeley", "fig5") for rule in "abc"
+]
+
+COMMANDS = [
+    *BUILTIN_CI,
+    *BUILTIN_IDS,
+    *(["analyze", "--builtin", name, "--measures", "all"] for name in ("titanic", "berkeley", "fig5")),
+    ["analyze", "--builtin", "titanic", "--bounds", "--bootstrap", "200", "--format", "csv", "--output", "report.csv"],
+    ["analyze", "--builtin", "berkeley", "--bounds", "--bootstrap", "200", "--format", "json",
+     "--output", "report.json"],
+    ["analyze", "--csv", "rare_x.csv", "--schema", "rare_x.json", "--measures", "pcc,rmi,nace", "--bootstrap", "100"],
+    ["analyze", "--csv", "titanic_bad.csv", "--schema", "titanic", "--measures", "all", "--bootstrap", "200"],
+    ["analyze", "--csv", "gen442.csv", "--schema", "gen442.json", "--measures", "all", "--bounds"],
+    ["bootstrap", "--builtin", "titanic"],
+    ["bootstrap", "--builtin", "berkeley"],
+    ["bootstrap", "--builtin", "titanic", "--measures", "all"],
+    ["bootstrap", "--builtin", "berkeley", "--measures", "all"],
+    ["bootstrap", "--builtin", "titanic", "-B", "0"],
+    ["bootstrap", "--builtin", "titanic", "-B", "1"],
+    ["bootstrap", "--builtin", "fig5"],
+    ["bootstrap", "--csv", "rare_x.csv", "--schema", "rare_x.json", "--measures", "all", "-B", "100"],
+    ["bounds", "--builtin", "titanic"],
+    ["bounds", "--builtin", "berkeley"],
+    ["bounds", "--builtin", "fig5"],
+    ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json"],
+    ["reproduce"],
+    ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--strategy", "c",
+     "--points", "201", "--measures", ",".join(SWEEP_IDS)],
+    ["sweep", "--model", "decision", "--set", "q0=0", "--set", "q1=0.5", "--set", "q2=0.3", "--set", "q4=0.2",
+     "--sweep", "q3", "--output", "sweep.csv"],
+    # usage and schema errors, then byte-order marks
+    ["sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam1=0.2", "--sweep", "lam1"],
+    *(["analyze", "--csv", "titanic_bad.csv" if base is TITANIC else "gen442.csv", "--schema", name,
+       "--measures", "rmi"] for name, base, _ in BAD_SCHEMAS),
+    ["analyze", "--csv", "titanic_bom.csv", "--schema", "titanic", "--measures", "all"],
+    ["bounds", "--csv", "gen442.csv", "--schema", "gen442_bom.json"],
+]
+
+
+def _write(path: Path, text: str, encoding: str = "utf-8") -> None:
+    path.write_text(text, encoding=encoding, newline="")
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def write_inputs(out: Path) -> None:
+    """Every input file the commands read, generated from ``SEED``."""
+    rng = np.random.default_rng(SEED)
+    # a 4x2x4 table with every cell occupied, shuffled into rows
+    shape = (4, 2, 4)
+    counts = 1 + rng.multinomial(2000 - 32, rng.dirichlet(np.full(32, 2.0))).reshape(shape)
+    codes = np.repeat(np.arange(32), counts.reshape(-1))
+    rng.shuffle(codes)
+    labels = [np.array(GEN442["roles"][r]["categories"]) for r in "xyz"]
+    cells = zip(*(lab[i].tolist() for lab, i in zip(labels, np.unravel_index(codes, shape))))
+    _write(out / "gen442.csv", _csv("gx,gy,gz", (",".join(c) for c in cells)))
+    _write(out / "gen442.json", json.dumps(GEN442, indent=1) + "\n")
+    _write(out / "gen442_bom.json", json.dumps(GEN442, indent=1) + "\n", "utf-8-sig")
+    # the 8-row table on which over 5% of the resamples exclude pcc
+    rare = json.loads(json.dumps(GEN442))
+    rare["roles"]["x"]["categories"], rare["roles"]["z"]["categories"] = ["a", "b"], ["p", "q"]
+    _write(out / "rare_x.csv", _csv("gx,gy,gz", RARE_X_ROWS))
+    _write(out / "rare_x.json", json.dumps(rare, indent=1) + "\n")
+    # Titanic columns in 400 rows, with unmapped values and short rows among them
+    rows = []
+    for i in range(400):
+        pclass, survived, sex = rng.choice(["1", "2", "3"]), rng.choice(["0", "1"]), rng.choice(["female", "male"])
+        kind = int(rng.integers(0, 40))
+        pclass = "4" if kind == 0 else pclass
+        survived = "2" if kind == 1 else survived
+        sex = "unknown" if kind == 2 else sex
+        rows.append(f"{i + 1},{survived}" if kind == 3 else f"{i + 1},{survived},{pclass},{sex},{20 + i % 50}")
+    _write(out / "titanic_bad.csv", _csv("PassengerId,Survived,Pclass,Sex,Age", rows))
+    # Pclass first, so a byte-order mark would sit in front of a column the schema names
+    good = [r.split(",") for r in rows if r.count(",") == 4]
+    _write(out / "titanic_bom.csv", _csv("Pclass,Survived,Sex", (f"{c},{s},{x}" for _, s, c, x, _ in good)),
+           "utf-8-sig")
+    for name, base, edit in BAD_SCHEMAS:
+        schema = json.loads(json.dumps(base))
+        edit(schema)
+        _write(out / name, json.dumps(schema, indent=1) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    write_inputs(out)
+    env = {**os.environ, "DIRECTCORR_DATA": "data"}  # no data files: reproduce uses the embedded tables
+    for i, cmd in enumerate(COMMANDS):
+        proc = subprocess.run([sys.executable, "-m", "directcorr.cli", *cmd], cwd=out, env=env,
+                              capture_output=True, text=True)
+        record = f"argv: {' '.join(cmd)}\nexit: {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        _write(out / f"{i:02d}_{cmd[0]}.txt", record)
+    print(f"{len(COMMANDS)} commands recorded in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -167,10 +167,9 @@ class CouplingIterator:
     Coupling i assigns to the c-th supported (x,z) cell of ``cells`` the
     c-th base-d_Y digit of i, least significant first.  ``len()`` is the
     size of the family, d_Y to the number of supported (x,z) cells, however
-    few of them a bound evaluates; ``total_raw`` is the naive count
-    d_Y ** (d_X * d_Z) before canonicalization.  Couplings are produced a
-    chunk at a time: ``digits_chunk`` decodes an index range (``digits_of``
-    any index array) and ``joints_chunk`` builds the matching stack of joints.
+    few of them a bound evaluates.  Couplings are produced a chunk at a
+    time: ``digits_chunk`` decodes an index range (``digits_of`` any index
+    array) and ``joints_chunk`` builds the matching stack of joints.
     """
 
     def __init__(self, base: Joint3, cap: int = DEFAULT_CAP):
@@ -179,7 +178,6 @@ class CouplingIterator:
         self.cells: list[tuple[int, int]] = [
             (x, z) for x in range(self.d_x) for z in range(self.d_z) if self.pxz[x, z] > 0
         ]
-        self.total_raw = self.d_y ** (self.d_x * self.d_z)
         count = self.d_y ** len(self.cells)
         if count > cap:
             raise ExplosionGuard(

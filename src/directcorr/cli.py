@@ -140,7 +140,7 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
     values, undefined = _point_values(ds, measures, strategy)
     cis = {}
     if bootstrap_b:
-        cis = bootstrap_cis(ds.observations, list(values), bootstrap_b, seed, strategy, ds.encoding)
+        cis = bootstrap_cis(ds.observations, values, bootstrap_b, seed, strategy, ds.encoding)
     wanted = [m for m in values if m in BOUND_MEASURES] if with_bounds else []
     bounds = achievable_bounds(ds.joint, wanted, strategy, cap) if wanted else {}
     entries = []
@@ -211,7 +211,7 @@ def cmd_bootstrap(args) -> int:
         print(BACKDOOR_CAVEAT, file=sys.stderr)
     strategy = SparseStrategy.parse(args.strategy)
     values, undefined = _point_values(ds, measures, strategy)
-    cis = bootstrap_cis(ds.observations, list(values), args.bootstrap, args.seed, strategy, ds.encoding)
+    cis = bootstrap_cis(ds.observations, values, args.bootstrap, args.seed, strategy, ds.encoding)
     print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={RNG_ID})")
     for m in measures:
         if m in cis:
@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
         "decision": (DecisionParams, decision_model_joint),
     }[args.model]
     names = sorted(f.name for f in dataclasses.fields(params_type))
-    if sorted({*fixed, args.sweep}) != names:
+    if args.sweep in fixed or sorted({*fixed, args.sweep}) != names:
         raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
     joints = [model(params_type(**fixed, **{args.sweep: float(value)})) for value in grid]
     ctx = BatchContext(np.stack([j.probs for j in joints]), args.strategy)

@@ -192,40 +192,59 @@ def _checked(obj, where: str, required: tuple[str, ...], optional: tuple[str, ..
     return obj
 
 
+def _is_number(value) -> bool:
+    """A JSON number; JSON's true and false are not numbers, though Python's bools are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _column_spec_from_json(obj: dict, role: str) -> ColumnSpec:
     where = f"schema role {role!r}"
     obj = _checked(obj, where, ("column", "categories"), ("map", "encoding", "ordinal"))
-    if not isinstance(obj["categories"], list) or any(isinstance(c, (list, dict)) for c in obj["categories"]):
+    column, categories = obj["column"], obj["categories"]
+    if not (isinstance(column, str) or type(column) is int and column >= 0):
+        raise ValueError(f"{where}: 'column' must be a name or an index >= 0, got {column!r}")
+    if not isinstance(categories, list) or not all(isinstance(c, str) or _is_number(c) for c in categories):
         raise ValueError(f"{where}: 'categories' must be a list of strings or numbers")
+    if "map" not in obj and not all(isinstance(c, str) for c in categories):
+        # a CSV field is text, so only a map can lead one to a numeric category
+        raise ValueError(f"{where}: 'categories' must be strings unless a 'map' leads to them")
     if not isinstance(obj.get("map", {}), dict):
         raise ValueError(f"{where}: 'map' must be a JSON object of raw value -> category")
-    if not isinstance(obj.get("encoding", []), list):
+    encoding = obj.get("encoding", [])
+    if not isinstance(encoding, list) or not all(map(_is_number, encoding)):
         raise ValueError(f"{where}: 'encoding' must be a list of numbers")
+    if not isinstance(obj.get("ordinal", True), bool):
+        raise ValueError(f"{where}: 'ordinal' must be true or false")
     return ColumnSpec(
-        column=obj["column"],
-        categories=tuple(obj["categories"]),
+        column=column,
+        categories=tuple(categories),
         value_map=obj.get("map"),
-        encoding=tuple(obj["encoding"]) if "encoding" in obj else None,
-        ordinal=bool(obj.get("ordinal", True)),
+        encoding=tuple(encoding) if "encoding" in obj else None,
+        ordinal=obj.get("ordinal", True),
     )
 
 
 def schema_from_json(text: str) -> DatasetSchema:
     """A schema from its JSON text; a missing or unknown key or a value of the wrong type raises ``ValueError``."""
     obj = _checked(json.loads(text), "schema", ("name", "roles"), ("csv",))
+    if not isinstance(obj["name"], str):
+        raise ValueError(f"schema 'name' must be a string, got {obj['name']!r}")
     roles = _checked(obj["roles"], "schema 'roles'", ("x", "y", "z"))
     csv_opts = _checked(obj.get("csv", {}), "schema 'csv'", (), ("has_header", "delimiter", "strip", "on_unmapped"))
+    for flag in ("has_header", "strip"):
+        if not isinstance(csv_opts.get(flag, False), bool):
+            raise ValueError(f"schema 'csv': {flag!r} must be true or false")
     return DatasetSchema(obj["name"], *(_column_spec_from_json(roles[role], role) for role in "xyz"), **csv_opts)
 
 
 def load_schema(name_or_path: str) -> DatasetSchema:
-    """A canned schema by name (titanic, adult, berkeley) or any schema JSON by path."""
+    """A canned schema by name (titanic, adult, berkeley) or any schema JSON by path (a byte-order mark is dropped)."""
     path = Path(name_or_path)
     if path.suffix != ".json" or not path.exists():
         path = resources.files("directcorr") / "schemas" / f"{name_or_path}.json"
         if not path.is_file():
             raise FileNotFoundError(f"no canned schema named {name_or_path!r} and no such file")
-    return schema_from_json(path.read_text(encoding="utf-8"))
+    return schema_from_json(path.read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)
@@ -257,7 +276,8 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     """Load a CSV per the schema; invalid rows are skipped and counted (or raise, per policy).
 
     Rows are tallied straight into the count table, so memory does not grow
-    with the number of rows.
+    with the number of rows.  A UTF-8 byte-order mark (as Excel writes one)
+    is dropped, so it never becomes part of the first column's name.
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
@@ -265,7 +285,7 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     tally = [0] * math.prod(shape)  # flat (x, y, z) cell -> count
     n_skipped = 0
     examples: dict[str, None] = {}  # distinct messages, in order of first occurrence
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = next(reader, None) if schema.has_header else None
         if schema.has_header and header is None:

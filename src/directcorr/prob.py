@@ -68,8 +68,8 @@ class Alphabet:
             raise UnknownCategory(f"label {label!r} not in alphabet {self.labels!r}") from None
 
     @classmethod
-    def of_size(cls, d: int, prefix: str = "") -> "Alphabet":
-        return cls(tuple(f"{prefix}{i}" if prefix else i for i in range(d)))
+    def of_size(cls, d: int) -> "Alphabet":
+        return cls(tuple(range(d)))
 
 
 def _checked_probs(arr: np.ndarray) -> np.ndarray:

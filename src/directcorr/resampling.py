@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -78,35 +78,35 @@ def _resample_counts(counts: np.ndarray, n: int, seed: int, b: int) -> np.ndarra
 
 def bootstrap_cis(
     obs: ObservationTable,
-    measures: Sequence[str],
+    points: Mapping[str, float],
     b_resamples: int,
     seed: int,
     s: SparseStrategy = DEFAULT_STRATEGY,
     enc: NumericEncoding = DEFAULT_ENCODING,
 ) -> dict[str, CiReport]:
-    """Bootstrap several measures over one shared set of resamples.
+    """Bootstrap intervals around the given point values, over one shared set of resamples.
 
-    A resample on which a measure is undefined (degenerate variable,
-    singular denominator) is excluded for that measure and counted.  With
-    more than 5% excluded, the measure's interval is undefined too: its
-    lower and upper are NaN rather than a CI from a truncated distribution.
+    ``points`` maps each measure id to its value on ``obs``, as ``evaluate``
+    gives it on ``obs.joint()``; each ``CiReport`` carries that value as its
+    point, and only the resamples are evaluated here.  A resample on which a
+    measure is undefined (degenerate variable, singular denominator) is
+    excluded for that measure and counted.  With more than 5% excluded, the
+    measure's interval is undefined too: its lower and upper are NaN rather
+    than a CI from a truncated distribution.
     """
     if b_resamples < 2:
         raise ValueError("need at least 2 bootstrap resamples")
-    s = SparseStrategy.parse(s)
     counts = obs.counts()
     n = obs.n
-    full = obs.joint()
-    points = {m: evaluate(full, m, s, enc) for m in measures}
-    codes = label_codes(obs.alphabets, measures, enc)
+    codes = label_codes(obs.alphabets, points, enc)
     step = max(1, STACK_CELLS // counts.size)
-    chunks: dict[str, list[np.ndarray]] = {m: [] for m in measures}
+    chunks: dict[str, list[np.ndarray]] = {m: [] for m in points}
     for start in range(0, b_resamples, step):
         draws = [_resample_counts(counts, n, seed, b) for b in range(start, min(start + step, b_resamples))]
-        for m, v in measure_values(np.stack(draws) / n, measures, s, codes).items():
+        for m, v in measure_values(np.stack(draws) / n, points, s, codes).items():
             chunks[m].append(v)
     out = {}
-    for m in measures:
+    for m in points:
         values = np.concatenate(chunks[m])
         kept = values[~np.isnan(values)]
         excluded = b_resamples - kept.size
@@ -139,7 +139,8 @@ def bootstrap_ci(
 
     Raises ``MeasureFailure`` where over 5% of the resamples leave the measure undefined.
     """
-    ci = bootstrap_cis(obs, (measure,), b_resamples, seed, s, enc)[measure]
+    point = evaluate(obs.joint(), measure, s, enc)
+    ci = bootstrap_cis(obs, {measure: point}, b_resamples, seed, s, enc)[measure]
     if ci.too_many_excluded:
         raise MeasureFailure(f"{ci.n_excluded}/{b_resamples} resamples left {measure!r} undefined (> 5% excluded)")
     return ci

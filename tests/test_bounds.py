@@ -63,7 +63,6 @@ class TestCouplingIterator:
     def test_titanic_count(self):
         it = CouplingIterator(dataset_from_builtin("titanic").joint)
         assert len(it) == 64
-        assert it.total_raw == 64
 
     def test_berkeley_count(self):
         it = CouplingIterator(dataset_from_builtin("berkeley").joint)
@@ -76,7 +75,6 @@ class TestCouplingIterator:
     def test_sparse_support_canonicalized(self):
         _, j = fig5_corpus()[0]  # only two of four (x,z) cells are supported
         it = CouplingIterator(j)
-        assert it.total_raw == 16
         assert len(it) == 4
         assert it.cells == [(0, 0), (1, 1)]
         _, q = all_couplings(it)

@@ -58,10 +58,11 @@ RARE_X = (("a", "yes", "p", 1), ("b", "no", "p", 3), ("b", "yes", "q", 2), ("b",
         ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "-1"),
         ("analyze", "--builtin", "titanic", "--output", "out.csv"),
         ("analyze", "--builtin", "titanic", "--format", "csv"),
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam1=0.2", "--sweep", "lam1"),
     ],
     ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
          "set-without-value", "set-unknown-parameter", "zero-points", "negative-points",
-         "output-without-format", "format-without-output"],
+         "output-without-format", "format-without-output", "set-and-sweep-same-parameter"],
 )
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -109,10 +110,23 @@ def test_flag_the_command_does_not_read_rejected(capsys, argv, message):
         (lambda s: s["roles"]["z"]["categories"].append(["r"]), "schema role 'z': 'categories' must be a list"),
         (lambda s: s["roles"]["z"].update(encoding=[1]), "encoding for ('p', 'q') must be 2 finite values"),
         (lambda s: s["roles"]["z"].update(encoding=1), "schema role 'z': 'encoding' must be a list"),
+        (lambda s: s["roles"]["x"].update(column=True), "schema role 'x': 'column' must be a name or an index >= 0"),
+        (lambda s: s["roles"]["x"].update(column=-1), "schema role 'x': 'column' must be a name or an index >= 0"),
+        (lambda s: s["roles"]["x"].update(column=1.5), "schema role 'x': 'column' must be a name or an index >= 0"),
+        (lambda s: s["roles"]["z"].update(ordinal="no"), "schema role 'z': 'ordinal' must be true or false"),
+        (lambda s: s["csv"].update(has_header="false"), "schema 'csv': 'has_header' must be true or false"),
+        (lambda s: s["csv"].update(strip="false"), "schema 'csv': 'strip' must be true or false"),
+        (lambda s: s.update(name=5), "schema 'name' must be a string, got 5"),
+        (lambda s: s["roles"]["z"].update(encoding=[True, False]), "schema role 'z': 'encoding' must be a list"),
+        (lambda s: s["roles"]["z"]["categories"].insert(0, None), "schema role 'z': 'categories' must be a list"),
+        (lambda s: s["roles"]["z"].update(categories=[1, 2]),
+         "schema role 'z': 'categories' must be strings unless a 'map' leads to them"),
     ],
     ids=["bin", "misspelt-map", "top-level-key", "csv-key", "no-categories", "no-column", "no-name",
          "no-roles", "no-role", "undeclared-map-target", "long-delimiter", "list-map", "list-category",
-         "short-encoding", "scalar-encoding"],
+         "short-encoding", "scalar-encoding", "boolean-column", "negative-column", "fractional-column",
+         "string-ordinal", "string-has-header", "string-strip", "numeric-name", "boolean-encoding",
+         "null-category", "numeric-categories-without-map"],
 )
 def test_malformed_schema_exit_2(capsys, tmp_path, edit, message):
     """A malformed schema fails at load with one ``error:`` line, not a traceback or a silent skip."""
@@ -127,6 +141,25 @@ def test_malformed_schema_exit_2(capsys, tmp_path, edit, message):
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("name, n_reported", [("titanic", 11), ("berkeley", 10)])
+    def test_one_evaluate_per_reported_value(self, capsys, monkeypatch, name, n_reported):
+        # the bootstrap reports the point values analyze computed; it evaluates only the resamples
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr("directcorr.cli.evaluate", counted)
+        monkeypatch.setattr("directcorr.resampling.evaluate", counted)
+        code, out, err = run(capsys, "analyze", "--builtin", name, "--bounds", "--bootstrap", "50")
+        assert code == 0, err
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.split()[0] == "measure") + 1
+        reported = [line.split()[0] for line in lines[start:]]
+        assert len(calls) == len(reported) == n_reported
+        assert sorted(calls) == sorted(reported)
+
     def test_berkeley_values(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "rmi,rcmi")
         assert code == 0

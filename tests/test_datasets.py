@@ -1,4 +1,5 @@
 import csv
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ class TestLoadCsv:
         assert np.array_equal(report.table.counts(), titanic_counts())
         assert np.allclose(report.table.joint().probs, builtin_titanic().probs, atol=1e-15)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, here right before
+        # the header's first name; the same rows load to the same counts
+        rows = "Pclass,Survived,Sex\n3,0,male\n1,1,female\n2,1,female\n3,0,male\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_text(rows, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        schema = load_schema("titanic")
+        assert np.array_equal(load_csv(marked, schema).counts(), load_csv(plain, schema).counts())
+        assert load_csv(plain, schema).n == 4
+
     def test_deterministic(self, tmp_path):
         csv_path = synthesize_titanic_csv(tmp_path / "titanic.csv")
         schema = load_schema("titanic")
@@ -257,6 +270,12 @@ class TestSchemas:
             encoding="utf-8",
         )
         assert load_schema(str(path)).name == "custom"
+
+    def test_schema_with_byte_order_mark(self, tmp_path):
+        text = (resources.files("directcorr") / "schemas" / "titanic.json").read_text(encoding="utf-8")
+        path = tmp_path / "titanic_bom.json"
+        path.write_text(text, encoding="utf-8-sig")
+        assert load_schema(str(path)) == load_schema("titanic")
 
     def test_unknown_canned_schema(self):
         with pytest.raises(FileNotFoundError):

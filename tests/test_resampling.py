@@ -57,9 +57,16 @@ def resample_values(obs, measure, b_resamples, seed, s="b"):
     return out
 
 
+def full_values(obs, measures):
+    """Each measure's value on the whole table: the points ``bootstrap_cis`` is given."""
+    full = obs.joint()
+    return {m: evaluate(full, m) for m in measures}
+
+
 @pytest.fixture(scope="module")
 def titanic_all_ids():
-    return bootstrap_cis(titanic_observations(), list(MEASURES), 80, seed=9)
+    obs = titanic_observations()
+    return bootstrap_cis(obs, full_values(obs, MEASURES), 80, seed=9)
 
 
 class TestObservationTable:
@@ -138,6 +145,16 @@ class TestBootstrapCi:
         for seed in (1, 7):
             assert bootstrap_ci(obs, "rcmi", 50, seed=seed).point == full
 
+    def test_cis_report_the_points_they_are_given(self, monkeypatch):
+        # the intervals come from the resamples alone; the full table is never evaluated
+        obs = titanic_observations()
+        expected = bootstrap_cis(obs, full_values(obs, ("rmi", "nace")), 40, seed=4)
+        monkeypatch.setattr("directcorr.resampling.evaluate", None)
+        cis = bootstrap_cis(obs, {"rmi": 0.5, "nace": -1.0}, 40, seed=4)
+        assert [(ci.measure, ci.point) for ci in cis.values()] == [("rmi", 0.5), ("nace", -1.0)]
+        for m, ci in cis.items():
+            assert (ci.lower, ci.upper, ci.n_excluded) == (expected[m].lower, expected[m].upper, expected[m].n_excluded)
+
     def test_constant_dataset_zero_width(self):
         t = table_from_counts([[[10, 0], [0, 0]], [[0, 0], [0, 0]]])
         r = bootstrap_ci(t, "rmi", 50, seed=0)
@@ -209,7 +226,8 @@ class TestBootstrapCi:
         counts[0, 0, 0] = 6
         counts[0, 1, 1] = 5
         counts[1, 1, 0] = 1
-        cis = bootstrap_cis(table_from_counts(counts), ("pcc", "rmi"), 300, seed=2)
+        obs = table_from_counts(counts)
+        cis = bootstrap_cis(obs, full_values(obs, ("pcc", "rmi")), 300, seed=2)
         assert cis["pcc"].too_many_excluded and np.isnan(cis["pcc"].lower) and np.isnan(cis["pcc"].upper)
         assert cis["rmi"] == bootstrap_ci(table_from_counts(counts), "rmi", 300, seed=2)
         assert not cis["rmi"].too_many_excluded
@@ -239,7 +257,7 @@ class TestBootstrapCi:
         obs = ObservationTable(TITANIC_ALPHABETS, counts)
         assert obs.n == 10**12 + others
         assert obs.counts().nbytes == counts.size * 8
-        cis = bootstrap_cis(obs, ("rmi", "rcmi", "nace"), 20, seed=1)
+        cis = bootstrap_cis(obs, full_values(obs, ("rmi", "rcmi", "nace")), 20, seed=1)
         for r in cis.values():
             assert r.n_excluded == 0
             assert np.isfinite(r.point) and r.lower <= r.upper
