@@ -402,7 +402,7 @@ class _Search:
             cur = np.full((len(self.parts), int(hi.max()) + nxt.shape[1], len(self.grid)), -math.inf)
             # Pattern p moves the bins up by lo[p] to hi[p] (hi - lo is 1 or 2); the patterns
             # sharing a shift move together, so the cost is bounded by the bins, not the patterns.
-            for k in np.unique(np.concatenate([lo, lo + 1, hi])).tolist():
+            for k in sorted(set(np.concatenate([lo, lo + 1, hi]).tolist())):
                 vals = self.per[d][(lo <= k) & (k <= hi)].max(axis=0)  # (parts, grid)
                 view = cur[:, k:k + nxt.shape[1]]
                 np.maximum(view, vals[:, None] + nxt, out=view)
@@ -535,7 +535,8 @@ def search_candidates(it: CouplingIterator, measures: Sequence[str], s: SparseSt
         if near is None:
             return None
         sets.append(near)
-    return np.unique(np.concatenate(sets))
+    idx = np.sort(np.concatenate(sets))
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]  # np.unique's result; its first call imports numpy.ma
 
 
 def candidate_family(measure: str, it: CouplingIterator, s: SparseStrategy | str) -> str:

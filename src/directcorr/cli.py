@@ -207,11 +207,11 @@ def cmd_bootstrap(args) -> int:
     if ds.observations is None:
         raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
     measures = _parse_measures(args.measures)
-    if any(get_measure(m).do_family for m in measures):
-        print(BACKDOOR_CAVEAT, file=sys.stderr)
     strategy = SparseStrategy.parse(args.strategy)
     values, undefined = _point_values(ds, measures, strategy)
     cis = bootstrap_cis(ds.observations, values, args.bootstrap, args.seed, strategy, ds.encoding)
+    if any(get_measure(m).do_family for m in measures):
+        print(BACKDOOR_CAVEAT, file=sys.stderr)
     print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={RNG_ID})")
     for m in measures:
         if m in cis:

@@ -10,8 +10,11 @@ CSV ingestion is driven by a :class:`DatasetSchema`, checked when built:
 column names or indices for the three roles, optional raw-value maps, and
 numeric encodings for the linear measures.  Category order is fixed by
 the schema, not by file order, so alphabets stay stable across resamples.
-Each role reads a row through one raw-value -> category-index lookup, and
-each usable row is tallied into an :class:`ObservationTable`'s counts.
+A row is read as its raw (x, y, z) triple of fields.  Each distinct triple
+goes through the roles' raw-value -> category-index lookups once, the first
+time it appears; later rows with it are counted through a dict from triple
+to cell of an :class:`ObservationTable`'s counts.  Triples that fail to map
+are not kept, so memory is bounded by the schema, not by the number of rows.
 The built-ins take their alphabets from their canned schemas.  Only local
 files are ever read.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -275,16 +279,37 @@ def _resolve_columns(schema: DatasetSchema, header: list[str] | None) -> list[in
 def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadReport:
     """Load a CSV per the schema; invalid rows are skipped and counted (or raise, per policy).
 
-    Rows are tallied straight into the count table, so memory does not grow
-    with the number of rows.  A UTF-8 byte-order mark (as Excel writes one)
-    is dropped, so it never becomes part of the first column's name.
+    A row is read as its raw (x, y, z) triple of fields, and each distinct
+    triple is resolved once: stripped, mapped and looked up the first time
+    it appears, then counted through a dict from triple to table cell.  A
+    triple that fails to map is not kept but resolved again where it
+    recurs, so memory is bounded by the schema's lookups (times the raw
+    spellings ``strip`` folds together), not by the number of rows, even
+    when a role is pointed at an ID column by mistake.  Under
+    ``on_unmapped: error`` the first bad row in file order raises.  A UTF-8
+    byte-order mark (as Excel writes one) is dropped, so it never becomes
+    part of the first column's name.
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
-    lookups = [spec.lookup() for spec in schema.roles]
+    roles = list(zip(schema.roles, [spec.lookup() for spec in schema.roles], shape))
     tally = [0] * math.prod(shape)  # flat (x, y, z) cell -> count
+    cells: dict[tuple[str, ...], int] = {}  # raw triple -> flat cell, for the triples that map
     n_skipped = 0
     examples: dict[str, None] = {}  # distinct messages, in order of first occurrence
+
+    def resolve(key: tuple[str, ...]) -> int | str:
+        """The flat cell of a raw triple, or the message naming its first unmapped value."""
+        cell = 0
+        for raw, (spec, lookup, d) in zip(key, roles):
+            if schema.strip:
+                raw = raw.strip()
+            i = lookup.get(raw)
+            if i is None:
+                return f"unmapped value {raw!r} in column {spec.column!r}"
+            cell = cell * d + i
+        return cell
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = next(reader, None) if schema.has_header else None
@@ -292,26 +317,24 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
             raise EmptyAfterFiltering(f"{path}: file is empty")
         cols = _resolve_columns(schema, header)
         width = max(cols) + 1
+        triple = operator.itemgetter(*cols)
         for row in reader:
-            if not row or len(row) < width:
+            if len(row) < width:
                 n_skipped += 1
                 continue
-            cell = 0
-            for spec, ci, lookup, d in zip(schema.roles, cols, lookups, shape):
-                raw = row[ci].strip() if schema.strip else row[ci]
-                i = lookup.get(raw)
-                if i is None:
-                    break
-                cell = cell * d + i
-            else:
-                tally[cell] += 1
-                continue
-            message = f"unmapped value {raw!r} in column {spec.column!r}"
-            if schema.on_unmapped == "error":
-                raise UnknownCategory(message)
-            n_skipped += 1
-            if len(examples) < 5:
-                examples[message] = None
+            key = triple(row)
+            cell = cells.get(key)
+            if cell is None:
+                cell = resolve(key)
+                if isinstance(cell, str):
+                    if schema.on_unmapped == "error":
+                        raise UnknownCategory(cell)
+                    n_skipped += 1
+                    if len(examples) < 5:
+                        examples[cell] = None
+                    continue
+                cells[key] = cell
+            tally[cell] += 1
     n_rows = sum(tally)
     if not n_rows:
         raise EmptyAfterFiltering(f"{path}: no usable rows for schema {schema.name!r}")

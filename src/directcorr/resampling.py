@@ -69,11 +69,11 @@ def _percentile_pair(values: np.ndarray, b: int) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _resample_counts(counts: np.ndarray, n: int, seed: int, b: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, b))
+def _resample_counts(counts: np.ndarray, n: int, seed: int, bs: range) -> np.ndarray:
+    """The count tables of resamples ``bs``, stacked; resample b is drawn from the stream (seed, b)."""
     pvals = counts.reshape(-1).astype(float)
     pvals /= pvals.sum()
-    return rng.multinomial(n, pvals).reshape(counts.shape)
+    return np.stack([np.random.default_rng((seed, b)).multinomial(n, pvals) for b in bs]).reshape(-1, *counts.shape)
 
 
 def bootstrap_cis(
@@ -102,8 +102,8 @@ def bootstrap_cis(
     step = max(1, STACK_CELLS // counts.size)
     chunks: dict[str, list[np.ndarray]] = {m: [] for m in points}
     for start in range(0, b_resamples, step):
-        draws = [_resample_counts(counts, n, seed, b) for b in range(start, min(start + step, b_resamples))]
-        for m, v in measure_values(np.stack(draws) / n, points, s, codes).items():
+        draws = _resample_counts(counts, n, seed, range(start, min(start + step, b_resamples)))
+        for m, v in measure_values(draws / n, points, s, codes).items():
             chunks[m].append(v)
     out = {}
     for m in points:

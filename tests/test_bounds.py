@@ -167,8 +167,7 @@ class TestAchievableBounds:
         # although its p(x,z) differs from the base joint's.
         obs = dataset_from_builtin("berkeley").observations
         j = obs.joint()
-        counts = obs.counts()
-        stack = np.stack([_resample_counts(counts, obs.n, 3, b) for b in range(40)]) / obs.n
+        stack = _resample_counts(obs.counts(), obs.n, 3, range(40)) / obs.n
         assert np.all(stack > 0)
         per = candidate_values(j, stack, BOUND_MEASURES)
         for b in range(len(stack)):

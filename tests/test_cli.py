@@ -1,12 +1,18 @@
 import csv
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from directcorr.cli import UNDEFINED, main
+from directcorr.bounds import CouplingIterator, candidate_family
+from directcorr.cli import BACKDOOR_CAVEAT, UNDEFINED, main
+from directcorr.datasets import dataset_from_csv, load_schema
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
 from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
 from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, human_table, to_csv, to_json
@@ -59,10 +65,13 @@ RARE_X = (("a", "yes", "p", 1), ("b", "no", "p", 3), ("b", "yes", "q", 2), ("b",
         ("analyze", "--builtin", "titanic", "--output", "out.csv"),
         ("analyze", "--builtin", "titanic", "--format", "csv"),
         ("sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam1=0.2", "--sweep", "lam1"),
+        ("bootstrap", "--builtin", "titanic", "-B", "0"),
+        ("bootstrap", "--builtin", "titanic", "-B", "1"),
     ],
     ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
          "set-without-value", "set-unknown-parameter", "zero-points", "negative-points",
-         "output-without-format", "format-without-output", "set-and-sweep-same-parameter"],
+         "output-without-format", "format-without-output", "set-and-sweep-same-parameter",
+         "bootstrap-zero-resamples", "bootstrap-one-resample"],
 )
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -333,10 +342,42 @@ class TestBootstrapCommand:
             "  rmi        0.240940  ci=[0.000000, 0.490554]",
         ]
 
+    def test_backdoor_caveat_once_on_success(self, capsys):
+        code, _, err = run(capsys, "bootstrap", "--builtin", "titanic", "--measures", "nace,rmi", "-B", "50")
+        assert code == 0
+        assert err == BACKDOOR_CAVEAT + "\n"
+        code, _, err = run(capsys, "bootstrap", "--builtin", "titanic", "--measures", "rmi", "-B", "50")
+        assert code == 0
+        assert err == ""
+
     def test_fig5_has_no_records(self, capsys):
         code, _, err = run(capsys, "bootstrap", "--builtin", "fig5", "--measures", "rmi")
         assert code == 2
         assert "records" in err
+
+
+class TestNoMaskedArrays:
+    """``np.unique`` and ``np.isin`` import ``numpy.ma`` (numpy 2.4), a cost every call would pay."""
+
+    PROBE = "import sys; from directcorr.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+
+    def probe(self, *argv) -> str:
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_berkeley_analyze_bounds(self):
+        assert self.probe("analyze", "--builtin", "berkeley", "--bounds") == "False"
+
+    def test_searched_4x2x4_bounds(self, tmp_path):
+        rng = np.random.default_rng(13)
+        cells = [(x, y, z, int(k)) for (x, y, z), k in
+                 zip(itertools.product("abcd", ("no", "yes"), "pqrs"), rng.integers(1, 40, size=32))]
+        data, schema = write_dataset(tmp_path, cells, "abcd", "pqrs")
+        joint = dataset_from_csv(data, load_schema(schema))[0].joint
+        assert candidate_family("rpmi", CouplingIterator(joint), "b") == "search"
+        assert self.probe("bounds", "--csv", data, "--schema", schema) == "False"
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ import pytest
 from directcorr.datasets import (
     BERKELEY_ALPHABETS,
     TITANIC_ALPHABETS,
+    ColumnSpec,
     DatasetSchema,
     berkeley_counts,
     builtin_berkeley,
@@ -238,6 +239,91 @@ class TestLoadCsv:
         expected[2, 1, 1] = 1
         assert np.array_equal(report.table.counts(), expected)
         assert (report.n_rows, report.n_skipped) == (4, 2)
+
+
+# Raw spellings per role, the plain valid ones first (5, 2 and 3 of them);
+# "l", "L" and "low" all map to "lo".  Padded spellings load only under
+# strip, and each role has several unmapped values, so a file gives more
+# than 5 distinct messages.
+EQUIV_X = ColumnSpec("d", ("lo", "mid", "hi"), value_map={"l": "lo", "L": "lo", "low": "lo", "m": "mid", "h": "hi"})
+EQUIV_Y = ColumnSpec(0, ("no", "yes"))
+EQUIV_Z = ColumnSpec("e", ("p", "q", "r"), ordinal=False)
+EQUIV_RAW = (
+    (("l", "L", "low", "m", "h", " low", "h ", "lo", "x1", "x2"), 5),
+    (("no", "yes", " yes", "no ", "maybe", "y"), 2),
+    (("p", "q", "r", " r", "p ", "s", "t", ""), 3),
+)
+
+
+def equivalence_csv(path, seed: int) -> None:
+    """Rows drawn from ``EQUIV_RAW``, with empty and short rows and padding columns among them."""
+    rng = np.random.default_rng(seed)
+
+    def draw(raw, n_plain):  # a plain valid spelling 3 times in 4
+        return raw[int(rng.integers(n_plain if rng.random() < 0.75 else len(raw)))]
+
+    lines = ["b,c,x,d,e"]
+    for _ in range(400):
+        x, y, z = (draw(*role) for role in EQUIV_RAW)
+        fields = [y, str(rng.integers(3)), "pad", x, z] + ["extra"] * int(rng.integers(2))
+        kind = rng.random()
+        lines.append("" if kind < 0.03 else ",".join(fields[:int(rng.integers(1, 5))] if kind < 0.08 else fields))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_load(path, schema: DatasetSchema):
+    """Counts, skipped rows, the first 5 distinct messages and all distinct messages, one row at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    cols = [spec.column if isinstance(spec.column, int) else header.index(spec.column) for spec in schema.roles]
+    counts = np.zeros(tuple(len(spec.categories) for spec in schema.roles), dtype=np.int64)
+    skipped, messages = 0, []
+    for row in rows:
+        if len(row) <= max(cols):
+            skipped += 1
+            continue
+        cell = []
+        for spec, col in zip(schema.roles, cols):
+            raw = row[col].strip() if schema.strip else row[col]
+            if raw not in spec.lookup():
+                message = f"unmapped value {raw!r} in column {spec.column!r}"
+                if schema.on_unmapped == "error":
+                    raise UnknownCategory(message)
+                skipped += 1
+                messages += [message] if message not in messages else []
+                break
+            cell.append(spec.lookup()[raw])
+        else:
+            counts[tuple(cell)] += 1
+    return counts, skipped, tuple(messages[:5]), messages
+
+
+class TestCsvTallyEquivalence:
+    """The tally by distinct raw triple agrees with a plain per-row reading."""
+
+    @pytest.mark.parametrize("strip", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_row_reference(self, tmp_path, seed, strip):
+        path = tmp_path / "rows.csv"
+        equivalence_csv(path, seed)
+        schema = DatasetSchema("equiv", EQUIV_X, EQUIV_Y, EQUIV_Z, strip=strip)
+        counts, skipped, examples, messages = reference_load(path, schema)
+        assert len(messages) > 5
+        assert {m.rsplit(" ", 1)[1] for m in messages} == {"'d'", "0", "'e'"}  # each role leaves rows unmapped
+        report = load_csv_report(path, schema)
+        assert np.array_equal(report.table.counts(), counts)
+        assert (report.n_rows, report.n_skipped, report.skipped_examples) == (counts.sum(), skipped, examples)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_error_names_first_bad_row(self, tmp_path, seed):
+        path = tmp_path / "rows.csv"
+        equivalence_csv(path, seed)
+        schema = DatasetSchema("equiv", EQUIV_X, EQUIV_Y, EQUIV_Z, strip=bool(seed % 2), on_unmapped="error")
+        with pytest.raises(UnknownCategory) as expected:
+            reference_load(path, schema)
+        with pytest.raises(UnknownCategory) as got:
+            load_csv_report(path, schema)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSchemas:

@@ -46,10 +46,9 @@ TABLES = {"titanic": (titanic_observations, "b"), "sparse": (sparse_observations
 
 def resample_values(obs, measure, b_resamples, seed, s="b"):
     """Each resample's value through the single-joint evaluate; None where it is undefined."""
-    counts = obs.counts()
     out = []
-    for b in range(b_resamples):
-        jb = Joint3(obs.alphabets, _resample_counts(counts, obs.n, seed, b) / obs.n)
+    for draw in _resample_counts(obs.counts(), obs.n, seed, range(b_resamples)):
+        jb = Joint3(obs.alphabets, draw / obs.n)
         try:
             out.append(evaluate(jb, measure, s))
         except (DegenerateVariable, SingularDenominator, SingleCategory):
