@@ -114,6 +114,11 @@ COMMANDS = [
        "--measures", "rmi"] for name, base, _ in BAD_SCHEMAS),
     ["analyze", "--csv", "titanic_bom.csv", "--schema", "titanic", "--measures", "all"],
     ["bounds", "--csv", "gen442.csv", "--schema", "gen442_bom.json"],
+    # the stratum search under the other fill rules and at the grid ends, then a family past int64 indices
+    ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json", "--strategy", "a"],
+    ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json", "--strategy", "c"],
+    ["bounds", "--csv", "grid_ends.csv", "--schema", "grid_ends.json", "--strategy", "b"],
+    ["bounds", "--csv", "full828.csv", "--schema", "full828.json", "--cap", str(10**24)],
 ]
 
 
@@ -161,6 +166,20 @@ def write_inputs(out: Path) -> None:
         schema = json.loads(json.dumps(base))
         edit(schema)
         _write(out / name, json.dumps(schema, indent=1) + "\n")
+    # Nine strata holding only x = a (11 rows of each y) and one holding only x = b (1 of each):
+    # the ricmi_xy maximizers put p(y=0) in an end cell of the search's grid.
+    ends = {**json.loads(json.dumps(GEN442)), "name": "grid_ends"}
+    ends["roles"]["x"]["categories"], ends["roles"]["z"]["categories"] = ["a", "b"], list("pqrstuvwxy")
+    cells = [("a", z, 11) for z in "pqrstuvwx"] + [("b", "y", 1)]
+    rows = (f"{x},{y},{z}" for x, z, k in cells for y in ("no", "yes") for _ in range(k))
+    _write(out / "grid_ends.csv", _csv("gx,gy,gz", rows))
+    _write(out / "grid_ends.json", json.dumps(ends, indent=1) + "\n")
+    # an 8x2x8 table with every (x,z) cell occupied: 2^64 couplings
+    full = {**json.loads(json.dumps(GEN442)), "name": "full828"}
+    full["roles"]["x"]["categories"], full["roles"]["z"]["categories"] = list("abcdefgh"), list("pqrstuvw")
+    rows = (f"{x},{('no', 'yes')[(i + k) % 2]},{z}" for i, x in enumerate("abcdefgh") for k, z in enumerate("pqrstuvw"))
+    _write(out / "full828.csv", _csv("gx,gy,gz", rows))
+    _write(out / "full828.json", json.dumps(full, indent=1) + "\n")
 
 
 def main(argv: list[str]) -> int:

@@ -61,22 +61,23 @@ measure evaluates only a candidate set of coupling indices:
   jointly convex and every argument is fixed or affine in t, so each
   term is convex in t and, over any interval of t, largest at its ends.
   t enters the support mask, the cells where p1 > 0, only through a factor
-  p(y), so the mask is one set for every t inside (0, 1).  At t = 0 or 1
-  the mask would drop the cells of one y; where the pattern reaches that
-  t, p2 vanishes there too, but where it does not (a_z > 0 at t = 0),
-  ricmi_xy's p(y)-filled cells under rule b keep p2 > 0, and dropping them
-  would make the term jump down at the end of the grid.  The terms are
-  therefore scored on the interior's mask everywhere, which extends each
-  term continuously, hence convexly, to all of [0, 1] and leaves its
-  value at every t the pattern can reach unchanged.  The engine scores
-  the terms itself, one stratum at a time under the whole coupling's p(x)
-  and p(y), for every pattern at 33 points of t.  A table then holds, for
-  the strata from each depth on, per bin of the mass they send to y = 0
-  (bins of width 1/128) and per grid point, the largest sum of their
-  values there.  A branch and bound assigns the strata one at a time,
-  widest range of a_z first, and prunes a node when an upper bound of
-  its couplings falls below the best value found (first by an ascent
-  over single-stratum moves, then at the leaves) by more than a window.
+  p(y), so each pattern has one mask for every t inside (0, 1); it is
+  computed once, at t = 1/2, and the pattern's terms are scored on it at
+  every t.  At t = 0 or 1 p1's own mask would drop the cells of one y;
+  where the pattern reaches that t, p2 vanishes there too, but where it
+  does not (a_z > 0 at t = 0), ricmi_xy's p(y)-filled cells under rule b
+  keep p2 > 0, and dropping them would make the term jump down at the end
+  of the grid.  The interior mask extends each term continuously, hence
+  convexly, to all of [0, 1] and leaves its value at every t the pattern
+  can reach unchanged.  The engine scores the terms itself, one stratum
+  at a time under the whole coupling's p(x) and p(y), for every pattern
+  at 33 points of t.  A table then holds, for the strata from each depth
+  on, per bin of the mass they send to y = 0 (bins of width 1/128) and
+  per grid point, the largest sum of their values there.  A branch and
+  bound assigns the strata one at a time, widest range of a_z first, and
+  prunes a node when an upper bound of its couplings falls below the best
+  value found (first by an ascent over single-stratum moves, then at the
+  leaves) by more than a window.
   The bound reads, per bin the strata left can fill, the short interval
   of t that bin allows; in the grid cell holding t every term lies below
   its chord, so the coupling's sum lies below the chord through the
@@ -167,9 +168,11 @@ class CouplingIterator:
     Coupling i assigns to the c-th supported (x,z) cell of ``cells`` the
     c-th base-d_Y digit of i, least significant first.  ``len()`` is the
     size of the family, d_Y to the number of supported (x,z) cells, however
-    few of them a bound evaluates.  Couplings are produced a chunk at a
-    time: ``digits_chunk`` decodes an index range (``digits_of`` any index
-    array) and ``joints_chunk`` builds the matching stack of joints.
+    few of them a bound evaluates; a family of 2^63 or more is refused
+    whatever the cap, as int64 cannot number it.  Couplings are produced a
+    chunk at a time: ``digits_chunk`` decodes an index range (``digits_of``
+    any index array) and ``joints_chunk`` builds the matching stack of
+    joints.
     """
 
     def __init__(self, base: Joint3, cap: int = DEFAULT_CAP):
@@ -179,6 +182,8 @@ class CouplingIterator:
             (x, z) for x in range(self.d_x) for z in range(self.d_z) if self.pxz[x, z] > 0
         ]
         count = self.d_y ** len(self.cells)
+        if count > np.iinfo(np.int64).max:
+            raise ExplosionGuard(f"{count} couplings are more than int64 indices can number, whatever the cap")
         if count > cap:
             raise ExplosionGuard(
                 f"{count} couplings exceed the cap of {cap}; raise the cap to enumerate anyway"
@@ -311,20 +316,6 @@ class _StratumContext(BatchContext):
         self.px = np.broadcast_to(px, (self.n, self.d_x))
         self.py = np.stack([t, 1.0 - t], axis=1)
 
-    def js_part(self, part: str) -> np.ndarray:
-        """The stratum's share of ``part``'s JS, on the mask its first table has for every t inside (0, 1).
-
-        That mask, read at t = 1/2, keeps each term convex up to t = 0 and 1
-        (see the module docstring).
-        """
-        p, q = self.js_pair(part)
-        mask = p > 0
-        ends = (self.py == 0.0).any(axis=1)
-        if ends.any():
-            inside = _StratumContext(self.q[ends], self.strategy, self.px[0], np.full(int(ends.sum()), 0.5))
-            mask[ends] = inside.js_pair(part)[0] > 0
-        return _js_rows(p, q, mask)
-
 
 def _combine(sums: np.ndarray) -> np.ndarray:
     """Screened value from JS sums on the last axis: the JS itself, or ricmi_two's mean of the two roots."""
@@ -358,6 +349,14 @@ class _Search:
         self.reach = np.append(np.cumsum([a.max() for a in self.a][::-1])[::-1], 0.0)
         self.grid = np.linspace(0.0, 1.0, T_CELLS + 1)
         self.parts = parts
+        # Each pattern's support mask per part: its first table's cells > 0 inside (0, 1), read at t = 1/2.
+        self.mask = {part: np.empty(self.bank.shape, dtype=bool) for part in parts}
+        step = max(1, STACK_CELLS // self.bank[0].size)
+        for i in range(0, len(self.bank), step):
+            chunk = self.bank[i:i + step]
+            ctx = _StratumContext(chunk, s, self.px, np.full(len(chunk), 0.5))
+            for part in parts:
+                self.mask[part][i:i + step] = ctx.js_pair(part)[0] > 0
         # Each stratum's JS sums of every pattern at the grid points, (patterns, parts, grid).
         g = len(self.grid)
         self.per = [
@@ -374,7 +373,7 @@ class _Search:
         for i in range(0, len(rows), step):
             ctx = _StratumContext(self.bank[rows[i:i + step]], self.s, self.px, t[i:i + step])
             for p, part in enumerate(parts):
-                out[i:i + step, p] = ctx.js_part(part)
+                out[i:i + step, p] = _js_rows(*ctx.js_pair(part), self.mask[part][rows[i:i + step]])
         return out
 
     def exact(self, parts: Sequence[str], pats: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .errors import (
     SingularDenominator,
     UnknownMeasure,
 )
-from .prob import Joint3, _entropy_rows, _js_rows, _kl_rows, _tv_rows
+from .prob import _entropy_rows, _js_rows, _kl_rows, _tv_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 SUPPORTS = ("dense", "on_support")
@@ -390,13 +390,3 @@ def measure_values(
     ctx = BatchContext(stack, s, codes, support)
     return {m: ctx.value(m) for m in measures}
 
-
-def evaluate_one(
-    j: Joint3, measure: str, s: SparseStrategy | str = DEFAULT_STRATEGY, codes: Codes | None = None
-) -> float:
-    """One measure on one joint: the stack-of-1 call, raising where the value is undefined."""
-    ctx = BatchContext(j.probs[None], s, codes)
-    v = float(ctx.value(measure)[0])
-    if math.isnan(v):
-        raise ctx.undefined_error(measure)
-    return v

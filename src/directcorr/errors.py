@@ -42,7 +42,7 @@ class UnknownMeasure(DirectCorrError, ValueError):
 
 
 class UnknownCategory(DirectCorrError, ValueError):
-    """A raw value has no mapping in the declared alphabet or binning rule."""
+    """A raw value has no mapping in the declared alphabet."""
 
 
 class MissingColumn(DirectCorrError, ValueError):

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import SINGLE, BatchContext, Codes, evaluate_one, pair_max
+from .engine import SINGLE, BatchContext, Codes, pair_max
 from .errors import SingleCategory, UnknownMeasure
 from .prob import Alphabet, Joint3
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
@@ -140,7 +140,12 @@ def evaluate(
     s: SparseStrategy = DEFAULT_STRATEGY,
     enc: NumericEncoding = DEFAULT_ENCODING,
 ) -> float:
-    return evaluate_one(j, measure_id, s, label_codes(j.alphabets, (measure_id,), enc))
+    """One measure on one joint: the engine's stack-of-1 call, raising where the value is undefined."""
+    ctx = BatchContext(j.probs[None], s, label_codes(j.alphabets, (measure_id,), enc))
+    v = float(ctx.value(measure_id)[0])
+    if math.isnan(v):
+        raise ctx.undefined_error(measure_id)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +155,17 @@ def evaluate(
 
 def pcc(j: Joint3, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
     """Pearson correlation coefficient of the encoded X and Y, in [-1, 1]; undefined if one is constant."""
-    return evaluate_one(j, "pcc", codes=enc.codes(j.alphabets))
+    return evaluate(j, "pcc", enc=enc)
 
 
 def partial_correlation(j: Joint3, enc: NumericEncoding = DEFAULT_ENCODING) -> float:
     """Direct linear correlation of X and Y with Z partialled out, in [-1, 1]."""
-    return evaluate_one(j, "pc", codes=enc.codes(j.alphabets))
+    return evaluate(j, "pc", enc=enc)
 
 
 def mutual_information(j: Joint3) -> float:
     """Mutual information H(X) + H(Y) - H(X,Y), in bits (never negative)."""
-    return evaluate_one(j, "mi")
+    return evaluate(j, "mi")
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ def regularized_mi(j: Joint3) -> float:
     Zero exactly when X and Y are independent; the supports of the joint
     and the product always overlap, so the value 1 is never attained.
     """
-    return evaluate_one(j, "rmi")
+    return evaluate(j, "rmi")
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +203,34 @@ def regularized_mi(j: Joint3) -> float:
 
 def cmi(j: Joint3) -> float:
     """Conditional mutual information H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), in bits."""
-    return evaluate_one(j, "cmi")
+    return evaluate(j, "cmi")
 
 
 def cmi_js(j: Joint3) -> float:
     """JS divergence between the joint and its CMI reconstruction, in [0, 1]."""
-    return evaluate_one(j, "cmi_js")
+    return evaluate(j, "cmi_js")
 
 
 def rcmi(j: Joint3) -> float:
     """Regularized CMI: root-JS distance to the CMI reconstruction, in [0, 1]."""
-    return evaluate_one(j, "rcmi")
+    return evaluate(j, "rcmi")
 
 
 def pmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Part mutual information: KL distance to the PMI reconstruction; may be +inf."""
-    return evaluate_one(j, "pmi", s)
+    return evaluate(j, "pmi", s)
 
 
 def rpmi(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Regularized PMI: root-JS distance to the PMI reconstruction, in [0, 1]."""
-    return evaluate_one(j, "rpmi", s)
+    return evaluate(j, "rpmi", s)
 
 
 def icmi_oneway(j: Joint3, direction: str = "xy", s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """One-way independent CMI in bits (KL of the two-step pair); may be +inf."""
     if direction not in ("xy", "yx"):
         raise ValueError(f"direction must be 'xy' or 'yx', got {direction!r}")
-    return evaluate_one(j, f"icmi_{direction}", s)
+    return evaluate(j, f"icmi_{direction}", s)
 
 
 @dataclass(frozen=True)
@@ -319,9 +324,9 @@ def mi_do(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     Zero when H(p_do(y)) is zero: a deterministic intervened outcome
     leaves nothing for X to explain.
     """
-    return evaluate_one(j, "mi_do", s)
+    return evaluate(j, "mi_do", s)
 
 
 def rmi_do(j: Joint3, s: SparseStrategy = DEFAULT_STRATEGY) -> float:
     """Root-JS distance between p_do(x,y) and the product of its marginals, in [0, 1)."""
-    return evaluate_one(j, "rmi_do", s)
+    return evaluate(j, "rmi_do", s)

@@ -101,6 +101,13 @@ class TestCouplingIterator:
         with pytest.raises(ExplosionGuard):
             CouplingIterator(j, cap=100)
 
+    def test_family_past_int64_refused_whatever_the_cap(self, rng):
+        # 2^62 couplings still number in int64; 2^63 do not, and no cap lifts that
+        assert len(CouplingIterator(random_joint(rng, (2, 2, 31)), cap=10**24)) == 2**62
+        for shape in [(3, 2, 21), (8, 2, 8)]:
+            with pytest.raises(ExplosionGuard, match="whatever the cap"):
+                CouplingIterator(random_joint(rng, shape), cap=10**24)
+
     def test_chunked_digits_match_scalar(self, rng):
         # every index decodes on its own, as the argmax map is decoded
         j = random_joint(rng, (2, 3, 2))
@@ -263,6 +270,18 @@ def generated_442(seed: int) -> Joint3:
     return Joint3(tuple(Alphabet.of_size(d) for d in counts.shape), counts / counts.sum())
 
 
+def grid_ends_joint() -> Joint3:
+    """Nine strata holding only x = 0 and one small stratum holding only x = 1, every cell split evenly in y.
+
+    The ricmi_xy maximizers send the small stratum alone to one y, so t lies
+    in an end cell of the grid, at 0.01 or 0.99; under rule b a pattern that
+    cannot reach t = 0 still has p(y)-filled cells there.
+    """
+    pxz = np.zeros((2, 10))
+    pxz[0, :9], pxz[1, 9] = 0.11, 0.01
+    return Joint3(tuple(Alphabet.of_size(d) for d in (2, 2, 10)), np.stack([pxz / 2, pxz / 2], axis=1) / pxz.sum())
+
+
 def sparse_joint(rng, shape) -> Joint3:
     """A random joint with about a third of its (x,z) cells empty, every x and z still visited."""
     while True:
@@ -291,16 +310,31 @@ class TestStructuredBounds:
         assert_matches_enumeration(j, tuple(SEARCHED), s, each=True)
 
     def test_search_scores_the_grid_ends_on_the_interior_support(self):
-        # Nine strata hold only x = 0 and one small stratum only x = 1.  The
-        # ricmi_xy maximizers send the small stratum alone to one y, so t lies
-        # in an end cell of the grid, at 0.01 or 0.99; under rule b a pattern
-        # that cannot reach t = 0 still has p(y)-filled cells there.
-        pxz = np.zeros((2, 10))
-        pxz[0, :9], pxz[1, 9] = 0.11, 0.01
-        j = Joint3(tuple(Alphabet.of_size(d) for d in (2, 2, 10)), np.stack([pxz / 2, pxz / 2], axis=1) / pxz.sum())
+        j = grid_ends_joint()
         it = CouplingIterator(j)
         assert {candidate_family(m, it, "b") for m in ("ricmi_xy", "ricmi_two")} == {"search"}
         assert_matches_enumeration(j, ("ricmi_xy", "ricmi_two"), "b", each=True)
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_pattern_masks_are_the_interior_support(self, s):
+        # Inside (0, 1), t reaches each part's first table only through a
+        # factor p(y), so the mask read once at t = 1/2 is the support at
+        # every t the search scores; at t = 0 that support loses cells.
+        dropped = {}
+        for name, j in [("442", generated_442(1)), ("grid ends", grid_ends_joint())]:
+            search = bounds_module._Search(CouplingIterator(j), s, ["rpmi", "xy", "yx"])
+            for part, mask in search.mask.items():
+                for t in (1e-6, 0.1, 0.5, 0.9):
+                    ctx = bounds_module._StratumContext(search.bank, s, search.px, np.full(len(mask), t))
+                    assert np.array_equal(ctx.js_pair(part)[0] > 0, mask), (name, part, t)
+                ctx = bounds_module._StratumContext(search.bank, s, search.px, np.zeros(len(mask)))
+                at_zero = ctx.js_pair(part)[0] > 0
+                assert not (at_zero & ~mask).any(), (name, part)
+                dropped[name, part] = bool((mask & ~at_zero).any())
+        assert dropped["442", "yx"] and dropped["grid ends", "yx"]
+        assert not dropped["442", "rpmi"] and not dropped["grid ends", "rpmi"]
+        # ricmi_xy's p(y)-filled cells are rule b's alone
+        assert dropped["grid ends", "xy"] == (s == "b")
 
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     @pytest.mark.parametrize("name", ["titanic", "berkeley"])

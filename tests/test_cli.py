@@ -307,6 +307,24 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--builtin", "titanic", "--measures", "cmi")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("bounds",), ("bounds", "--measures", "rcmi"), ("bounds", "--measures", "rmi"),
+         ("analyze", "--bounds", "--measures", "rcmi")],
+        ids=["bounds", "bounds-rcmi", "bounds-rmi", "analyze-rcmi"],
+    )
+    def test_family_past_int64_is_refused_whatever_the_cap(self, capsys, tmp_path, argv):
+        # Every (x,z) cell of an 8x2x8 table occupied: 2^64 couplings, more than int64 indices can number.
+        xs, zs = "abcdefgh", "pqrstuvw"
+        cells = [(x, ("no", "yes")[(i + k) % 2], z, 1 + (i * 8 + k) % 3)
+                 for i, x in enumerate(xs) for k, z in enumerate(zs)]
+        data, schema = write_dataset(tmp_path, cells, xs, zs)
+        code, out, err = run(capsys, argv[0], "--csv", data, "--schema", schema, "--cap", str(10**24), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "18446744073709551616 couplings" in err
+
 
 class TestBootstrapCommand:
     def test_deterministic(self, capsys):
