@@ -119,6 +119,8 @@ COMMANDS = [
     ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json", "--strategy", "c"],
     ["bounds", "--csv", "grid_ends.csv", "--schema", "grid_ends.json", "--strategy", "b"],
     ["bounds", "--csv", "full828.csv", "--schema", "full828.json", "--cap", str(10**24)],
+    # nace and race are undefined where X has one category; the other measures are still bounded
+    ["bounds", "--csv", "one_x.csv", "--schema", "one_x.json"],
 ]
 
 
@@ -180,6 +182,12 @@ def write_inputs(out: Path) -> None:
     rows = (f"{x},{('no', 'yes')[(i + k) % 2]},{z}" for i, x in enumerate("abcdefgh") for k, z in enumerate("pqrstuvw"))
     _write(out / "full828.csv", _csv("gx,gy,gz", rows))
     _write(out / "full828.json", json.dumps(full, indent=1) + "\n")
+    # a single X category over two strata
+    one_x = {**json.loads(json.dumps(GEN442)), "name": "one_x"}
+    one_x["roles"]["x"]["categories"], one_x["roles"]["z"]["categories"] = ["a"], ["p", "q"]
+    cells = [("no", "p", 4), ("yes", "p", 2), ("no", "q", 1), ("yes", "q", 5)]
+    _write(out / "one_x.csv", _csv("gx,gy,gz", (f"a,{y},{z}" for y, z, k in cells for _ in range(k))))
+    _write(out / "one_x.json", json.dumps(one_x, indent=1) + "\n")
 
 
 def main(argv: list[str]) -> int:

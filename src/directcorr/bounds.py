@@ -24,32 +24,34 @@ keep the bound scale meaningful:
   near-saturated values any deterministic table produces off-support.
 
 f is irrelevant on zero-mass (x,z) cells, so those are canonicalized to
-y = 0 and only supported cells are enumerated: coupling i gives the c-th
-supported cell the c-th base-d_Y digit of i.  The family has d_Y to the
-number of supported cells members, and the enumeration refuses (rather
-than samples) beyond the configured cap, because the bound is an exact
-maximum.  Structure decides most of the family in advance, so each
-measure evaluates only a candidate set of coupling indices:
+y = 0: a coupling is a row of digits, the y of each supported cell, and the
+family is the product of the cells' d_Y choices, refused (never sampled)
+beyond the configured cap because the bound is an exact maximum.
+Structure decides most of the family in advance, so each measure evaluates
+only a candidate set, a ``Product`` of factors that each give a group of
+cells one of their options:
 
-* rmi, nace, race and rmi_do: the couplings with f(x,z) = g(x), one per
-  map g of the supported x rows (d_Y^d_X on full support).  JS and TV are
-  jointly convex, and p(x,y) and the do-rows p(y | do(x)) are affine in
-  the coupling, so each measure is a convex function of row x's p(x,y)
-  row or do-row.  That row ranges over a simplex whose vertices put all
-  of the row's mass on one y, so replacing the rows of any coupling one at
-  a time by their best vertex never lowers the value.  This needs the
-  do-rows' fill on empty (x,z) cells to be fixed, so the set is used with
-  full (x,z) support or under rule a; under rules b and c an empty cell
-  is filled with a p(y) that couples the rows, and these measures fall
-  back to the full family.
+* rmi, nace, race and rmi_do: the couplings with f(x,z) = g(x), the
+  product over the supported x rows of one y for all of a row's cells
+  (d_Y^d_X couplings on full support).  JS and TV are jointly convex, and
+  p(x,y) and the do-rows p(y | do(x)) are affine in the coupling, so each
+  measure is a convex function of row x's p(x,y) row or do-row.  That row
+  ranges over a simplex whose vertices put all of the row's mass on one y,
+  so replacing the rows of any coupling one at a time by their best vertex
+  never lowers the value.  This needs the do-rows' fill on empty (x,z)
+  cells to be fixed, so the set is used with full (x,z) support or under
+  rule a; under rules b and c an empty cell is filled with a p(y) that
+  couples the rows, and these measures fall back to the full family.
 * rcmi, under every rule: its JS splits into a sum over strata weighted
   by p(z), which every coupling shares.  Each stratum's d_Y^k_z patterns
   (k_z its supported cells) are scored with the engine's ``cmi_js`` on
-  the stratum's conditional table, and a pattern is kept when its weighted
-  shortfall p(z) (max - JS_z) is at most ``TIE_TOL``.  The set is the
-  product of the kept patterns: it holds the exact maximizers and every
-  coupling within 1e-12 of them, so every coupling that rounding could
-  make the float argmax of the full family, mirrored ties included.
+  the stratum's slice, whose cells keep their mass p(x,z) (JS is
+  homogeneous, so that is p(z) JS_z), and a pattern is kept when it falls
+  short of the stratum's best by at most ``TIE_TOL``.  The set is the
+  product over the strata of the kept patterns: it holds the exact
+  maximizers and every coupling within 1e-12 of them, so every coupling
+  that rounding could make the float argmax of the full family, mirrored
+  ties included.
 * rpmi, ricmi_xy, ricmi_yx and ricmi_two with a two-outcome Y: a search
   over the strata.  Let t = p(y=0) = sum_z a_z, where a_z is the mass
   that stratum z's pattern sends to y = 0.  Under ``on_support`` each
@@ -97,19 +99,16 @@ measure evaluates only a candidate set of coupling indices:
   patterns (a scan costs less than the tables), and when more than
   ``MAX_CONFIRM`` couplings come that close to the maximum.
 
-Each set is scanned in ascending index order, the observed joint first,
-and a candidate replaces the best only when it is strictly greater, so
-where the named argmax lies in the set it is the one full enumeration
-names.  Among couplings that tie in exact arithmetic, the float values
-may differ in the last bit, and the named argmax is one that attains the
-printed maximum rather than a fixed one.
-
-Couplings exist only as stacks: each chunk of indices is decoded into
-digits and built into one (n, d_X, d_Y, d_Z) stack of at most
-``engine.STACK_CELLS`` table cells, which keeps each temporary in cache;
-the map f of the winning coupling is decoded from its index alone.
-Indices decode independently, so a candidate set can be partitioned
-across workers and reduced by max.
+The pick is a reduction, so no set is sorted or deduplicated: the bound is
+the greatest value if it beats the observed joint's, and the coupling named
+is the first in family order (digits compared from the last cell) among
+those reaching it, the one full enumeration names.  Couplings that tie in
+exact arithmetic may differ in the last bit, so the named argmax attains
+the printed maximum but is not a fixed one.  A set is never built whole:
+it is decoded a chunk at a time into stacks of at most
+``engine.STACK_CELLS`` table cells, which keeps each temporary in cache,
+and position ranges decode apart, so a set can be split across workers
+and the parts' picks reduced by the same rule.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ import numpy as np
 
 from .engine import STACK_CELLS, BatchContext, measure_values
 from .errors import ExplosionGuard, ShapeMismatch, UnknownMeasure
-from .prob import Alphabet, Joint3, _js_rows
+from .prob import Joint3, _js_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 BOUND_MEASURES = (
@@ -141,6 +140,7 @@ ROW_CONVEX = ("rmi", "nace", "race", "rmi_do")
 TIE_TOL = 1e-12  # weighted per-stratum shortfall kept in rcmi's candidate set
 
 DEFAULT_CAP = 2**24
+Best = tuple[float, np.ndarray | None]  # a value and the digits of the coupling attaining it; None: the observed joint
 
 
 def rmi_max_uniform(k: int) -> float:
@@ -157,22 +157,40 @@ def rmi_max_uniform(k: int) -> float:
     return math.sqrt(max(inner, 0.0) / 2.0)
 
 
-def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Base-``base`` digits of each index, least significant first; shape (n, width)."""
-    return (idx[:, None] // base ** np.arange(width, dtype=np.int64)[None, :]) % base
+class Product:
+    """A candidate set: each factor (positions in ``cells``, rows of y) gives its cells one of its rows."""
+
+    def __init__(self, factors: Sequence[tuple[np.ndarray, np.ndarray]]):
+        self.factors = list(factors)
+        self.width = sum(len(positions) for positions, _ in self.factors)
+
+    def __len__(self) -> int:
+        return math.prod(len(options) for _, options in self.factors)
+
+    def digits(self, choice: np.ndarray) -> np.ndarray:
+        """Digits of the couplings taking option choice[:, f] of each factor f; shape (n, width)."""
+        out = np.empty((len(choice), self.width), dtype=np.int64)
+        for f, (positions, options) in enumerate(self.factors):
+            out[:, positions] = options[choice[:, f]]
+        return out
+
+    def digits_chunk(self, start: int, stop: int) -> np.ndarray:
+        """Digits of members start..stop-1, the first factor varying fastest; shape (n, width)."""
+        pos = np.arange(start, stop, dtype=np.int64)
+        choice = np.empty((len(pos), len(self.factors)), dtype=np.int64)
+        for f, (_, options) in enumerate(self.factors):
+            pos, choice[:, f] = np.divmod(pos, len(options))
+        return self.digits(choice)
 
 
 class CouplingIterator:
     """Enumerator over the deterministic couplings compatible with a base joint.
 
-    Coupling i assigns to the c-th supported (x,z) cell of ``cells`` the
-    c-th base-d_Y digit of i, least significant first.  ``len()`` is the
-    size of the family, d_Y to the number of supported (x,z) cells, however
-    few of them a bound evaluates; a family of 2^63 or more is refused
-    whatever the cap, as int64 cannot number it.  Couplings are produced a
-    chunk at a time: ``digits_chunk`` decodes an index range (``digits_of``
-    any index array) and ``joints_chunk`` builds the matching stack of
-    joints.
+    A coupling is a row of digits, the y of each supported (x,z) cell of
+    ``cells``, and the family the product of the cells' d_Y choices.
+    ``len()`` is its size, whatever part of it a bound evaluates; 2^63 or
+    more is refused whatever the cap, as int64 cannot number it.
+    ``strata`` holds each supported stratum's cell positions.
     """
 
     def __init__(self, base: Joint3, cap: int = DEFAULT_CAP):
@@ -188,27 +206,32 @@ class CouplingIterator:
             raise ExplosionGuard(
                 f"{count} couplings exceed the cap of {cap}; raise the cap to enumerate anyway"
             )
-        self._count = count
+        ys = np.arange(self.d_y)[:, None]
+        self._family = Product([(np.array([c]), ys) for c in range(len(self.cells))])
+        self.x, self.z = (np.array(v) for v in zip(*self.cells))
+        self.strata = {z: np.flatnonzero(self.z == z) for z in sorted(set(self.z.tolist()))}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._family)
 
     def digits_chunk(self, start: int, stop: int) -> np.ndarray:
         """The y assigned to each supported cell by couplings start..stop-1; shape (n, len(cells))."""
-        return self.digits_of(np.arange(start, stop, dtype=np.int64))
-
-    def digits_of(self, idx: np.ndarray) -> np.ndarray:
-        """The y assigned to each supported cell by the couplings numbered ``idx``; shape (n, len(cells))."""
-        return _digits(idx, self.d_y, len(self.cells))
+        return self._family.digits_chunk(start, stop)
 
     def joints_chunk(self, digits: np.ndarray) -> np.ndarray:
         """Stack of coupling joints, shape (n, d_X, d_Y, d_Z)."""
-        n = digits.shape[0]
-        q = np.zeros((n, self.d_x, self.d_y, self.d_z))
-        rng = np.arange(n)
-        for c, (x, z) in enumerate(self.cells):
-            q[rng, x, digits[:, c], z] = self.pxz[x, z]
+        q = np.zeros((len(digits), self.d_x, self.d_y, self.d_z))
+        q[np.arange(len(digits))[:, None], self.x, digits, self.z] = self.pxz[self.x, self.z]
         return q
+
+    def patterns(self, z: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Stratum z's patterns in family order, a chunk at a time: digits (n, k) and slices (n, d_X, d_Y, 1)."""
+        x = self.x[self.strata[z]]
+        every = Product(self._family.factors[:len(x)])  # every row of len(x) digits
+        for digits in chunks(every, max(1, STACK_CELLS // (self.d_x * self.d_y))):
+            slices = np.zeros((len(digits), self.d_x, self.d_y, 1))
+            slices[np.arange(len(digits))[:, None], x, digits, 0] = self.pxz[x, z]
+            yield digits, slices
 
 
 @dataclass(frozen=True)
@@ -242,51 +265,43 @@ def candidate_values(
     return measure_values(stack, measures, s, support="on_support")
 
 
-def _scan(
-    it: CouplingIterator, base: Joint3, cands: np.ndarray | None, measures: Sequence[str], s: SparseStrategy
-) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
-    """(indices, values) of each chunk of the candidate set ``cands``, in order; the whole family if None."""
-    step = max(1, STACK_CELLS // base.probs.size)
-    if cands is None:
-        for start in range(0, len(it), step):
-            stop = min(start + step, len(it))
-            digits = it.digits_chunk(start, stop)
-            yield np.arange(start, stop), candidate_values(base, it.joints_chunk(digits), measures, s)
-    else:
-        for start in range(0, len(cands), step):
-            ids = cands[start:start + step]
-            yield ids, candidate_values(base, it.joints_chunk(it.digits_of(ids)), measures, s)
+def chunks(cands: Product | CouplingIterator, step: int) -> Iterator[np.ndarray]:
+    """The digits of a candidate set, at most ``step`` couplings at a time."""
+    for start in range(0, len(cands), step):
+        yield cands.digits_chunk(start, min(start + step, len(cands)))
 
 
-def row_constant_candidates(it: CouplingIterator) -> np.ndarray:
-    """Indices of the couplings with f(x,z) = g(x), ascending: one per map g of the supported x rows."""
-    rows = sorted({x for x, _ in it.cells})
-    weights = np.zeros(len(rows), dtype=np.int64)
-    for c, (x, _) in enumerate(it.cells):
-        weights[rows.index(x)] += it.d_y**c
-    maps = _digits(np.arange(it.d_y ** len(rows), dtype=np.int64), it.d_y, len(rows))
-    return np.sort(maps @ weights)
+def _pick(best: Best, vals: np.ndarray, digits: np.ndarray) -> Best:
+    """The pick rule (see the module docstring) on the ``best`` so far and a chunk of couplings."""
+    value, first = best
+    top = np.fmax.reduce(vals)  # NaN never wins
+    if not (top > value or (top == value and first is not None)):
+        return best
+    tied = digits[vals == top]
+    if top == value:
+        tied = np.vstack([first, tied])
+    return float(top), tied[np.lexsort(tied.T)[0]]
 
 
-def stratum_candidates(j: Joint3, it: CouplingIterator, s: SparseStrategy) -> np.ndarray:
-    """Indices of the couplings each of whose strata is within ``TIE_TOL`` of its best rcmi pattern, ascending."""
-    pz = it.pxz.sum(axis=0)
-    idx = np.zeros(1, dtype=np.int64)
-    for z in np.flatnonzero(pz > 0).tolist():
-        # The stratum's conditional table, whose couplings are its patterns.
-        cond = Joint3((*j.alphabets[:2], Alphabet.of_size(1)), j.probs[:, :, z, None] / pz[z])
-        sub = CouplingIterator(cond)
+def row_constant_candidates(it: CouplingIterator) -> Product:
+    """The couplings with f(x,z) = g(x): the product over the supported x rows of one y for the row's cells."""
+    ys = np.arange(it.d_y)[:, None]
+    return Product([(np.flatnonzero(it.x == x), ys) for x in sorted(set(it.x.tolist()))])
+
+
+def stratum_candidates(it: CouplingIterator, s: SparseStrategy) -> Product:
+    """The couplings each of whose strata is within ``TIE_TOL`` of its best rcmi pattern: a product over the strata."""
+    factors = []
+    for z, cells in it.strata.items():
         best, near = -math.inf, []
-        for ids, vals in _scan(sub, cond, None, ("cmi_js",), s):
-            js = vals["cmi_js"]
+        for digits, slices in it.patterns(z):
+            js = measure_values(slices, ("cmi_js",), s, support="on_support")["cmi_js"]
             best = max(best, float(js.max()))
-            keep = pz[z] * (best - js) <= TIE_TOL
-            near.append((ids[keep], js[keep]))
-        ids, js = (np.concatenate(parts) for parts in zip(*near))
-        kept = sub.digits_of(ids[pz[z] * (best - js) <= TIE_TOL])
-        weights = np.array([it.d_y ** it.cells.index((x, z)) for x, _ in sub.cells], dtype=np.int64)
-        idx = (idx[:, None] + (kept @ weights)[None, :]).reshape(-1)
-    return np.sort(idx)
+            keep = best - js <= TIE_TOL
+            near.append((digits[keep], js[keep]))
+        digits, js = (np.concatenate(parts) for parts in zip(*near))
+        factors.append((cells, digits[best - js <= TIE_TOL]))
+    return Product(factors)
 
 
 # -- the stratum search, d_Y = 2 -------------------------------------------------
@@ -332,31 +347,22 @@ class _Search:
         self.s = s
         self.px = it.pxz.sum(axis=1)
         pz = it.pxz.sum(axis=0)
-        slices, self.a, self.index = [], [], []
-        for z in sorted(np.flatnonzero(pz > 0).tolist(), key=lambda z: -pz[z]):  # widest range of a_z first
-            xs = [x for x, zz in it.cells if zz == z]
-            digits = _digits(np.arange(2 ** len(xs), dtype=np.int64), 2, len(xs))
-            sl = np.zeros((len(digits), it.d_x, 2, 1))
-            for c, x in enumerate(xs):
-                sl[np.arange(len(digits)), x, digits[:, c], 0] = it.pxz[x, z]
-            slices.append(sl)
-            self.a.append(sl[:, :, 0, 0].sum(axis=1))
-            self.index.append(digits @ np.array([2 ** it.cells.index((x, z)) for x in xs], dtype=np.int64))
+        order = sorted(it.strata, key=lambda z: -pz[z])  # widest range of a_z first
+        banks = [[np.concatenate(parts) for parts in zip(*it.patterns(z))] for z in order]
+        # The family as the product over the strata, in this order, of all their patterns.
+        self.strata = Product([(it.strata[z], digits) for z, (digits, _) in zip(order, banks)])
+        self.a = [slices[:, :, 0, 0].sum(axis=1) for _, slices in banks]
         # Every stratum's patterns as slices, one stratum after another.
-        self.bank = np.concatenate(slices)
+        self.bank = np.concatenate([slices for _, slices in banks])
         self.offset = np.cumsum([0] + [len(a) for a in self.a[:-1]])
         # A node reaches p(y=0) from its own up to that plus the mass of the strata left.
         self.reach = np.append(np.cumsum([a.max() for a in self.a][::-1])[::-1], 0.0)
         self.grid = np.linspace(0.0, 1.0, T_CELLS + 1)
         self.parts = parts
-        # Each pattern's support mask per part: its first table's cells > 0 inside (0, 1), read at t = 1/2.
-        self.mask = {part: np.empty(self.bank.shape, dtype=bool) for part in parts}
-        step = max(1, STACK_CELLS // self.bank[0].size)
-        for i in range(0, len(self.bank), step):
-            chunk = self.bank[i:i + step]
-            ctx = _StratumContext(chunk, s, self.px, np.full(len(chunk), 0.5))
-            for part in parts:
-                self.mask[part][i:i + step] = ctx.js_pair(part)[0] > 0
+        # Each pattern's support mask per part: its first table's cells > 0 inside (0, 1), read at t = 1/2,
+        # one stratum at a time (at most MAX_PATTERNS patterns).
+        half = [_StratumContext(slices, s, self.px, np.full(len(slices), 0.5)) for _, slices in banks]
+        self.mask = {part: np.concatenate([ctx.js_pair(part)[0] > 0 for ctx in half]) for part in parts}
         # Each stratum's JS sums of every pattern at the grid points, (patterns, parts, grid).
         g = len(self.grid)
         self.per = [
@@ -473,7 +479,7 @@ class _Search:
         return float(self.exact(parts, pats, a[pats + self.offset].sum(axis=1)).max())
 
     def near_max(self, measure: str) -> np.ndarray | None:
-        """Couplings whose screened ``measure`` lies within its window of the screened maximum.
+        """Stratum patterns (n, strata) of the couplings whose screened ``measure`` is within its window of the max.
 
         None when more than ``MAX_CONFIRM`` couplings are that close: the
         whole family is scanned instead.
@@ -489,7 +495,7 @@ class _Search:
         # Each entry: depth, and per node its t, grid sums, stratum patterns and bound.
         stack = [(0, np.zeros(1), np.zeros((1, len(parts), len(self.grid))), np.zeros((1, depth), dtype=np.int64),
                   np.full(1, math.inf))]
-        found_idx, found_val = np.zeros(0, dtype=np.int64), np.zeros(0)
+        found_pats, found_val = np.zeros((0, depth), dtype=np.int64), np.zeros(0)
         while stack:
             d, t, acc, pats, ub = stack.pop()
             keep = ub >= best - window
@@ -510,32 +516,27 @@ class _Search:
                     sel = order[start:start + size]
                     stack.append((d + 1, t[sel], acc[sel], pats[sel], ub[sel]))
                 continue
-            idx = sum(ix[pats[:, i]] for i, ix in enumerate(self.index))
             vals = self.exact(parts, pats[keep], t[keep])
             best = max(best, float(vals.max(initial=-math.inf)))
-            found_idx, found_val = np.append(found_idx, idx[keep]), np.append(found_val, vals)
-            if len(found_idx) > MAX_CONFIRM:
+            found_pats, found_val = np.concatenate([found_pats, pats[keep]]), np.append(found_val, vals)
+            if len(found_pats) > MAX_CONFIRM:
                 close = found_val >= best - window
-                found_idx, found_val = found_idx[close], found_val[close]
-                if len(found_idx) > MAX_CONFIRM:
+                found_pats, found_val = found_pats[close], found_val[close]
+                if len(found_pats) > MAX_CONFIRM:
                     return None
-        return found_idx[found_val >= best - window]
+        return found_pats[found_val >= best - window]
 
 
-def search_candidates(it: CouplingIterator, measures: Sequence[str], s: SparseStrategy) -> np.ndarray | None:
-    """Indices of the couplings the engine confirms for the searched ``measures``, ascending; None for all.
-
-    The union over the measures of each one's near-max set.
-    """
+def search_candidates(it: CouplingIterator, measures: Sequence[str], s: SparseStrategy) -> Product | None:
+    """The union of the searched ``measures``' near-max sets, as one factor over all cells; None for all couplings."""
     search = _Search(it, s, list(dict.fromkeys(p for m in measures for p in SEARCHED[m])))
-    sets = []
+    found = []
     for m in measures:
-        near = search.near_max(m)
-        if near is None:
+        pats = search.near_max(m)
+        if pats is None:
             return None
-        sets.append(near)
-    idx = np.sort(np.concatenate(sets))
-    return idx[np.r_[True, idx[1:] != idx[:-1]]]  # np.unique's result; its first call imports numpy.ma
+        found.append(pats)
+    return Product([(np.arange(len(it.cells)), search.strata.digits(np.concatenate(found)))])
 
 
 def candidate_family(measure: str, it: CouplingIterator, s: SparseStrategy | str) -> str:
@@ -573,40 +574,31 @@ def achievable_bounds(
     # The observed joint is always a candidate: it shares its own marginals,
     # so the reported bound can never fall below the reported value.
     own = BatchContext(j.probs[None], strategy, support="on_support")
-    best = {m: float(own.value(m)[0]) for m in measures}
+    best = {m: (float(own.value(m)[0]), None) for m in measures}
     for m in measures:
-        if math.isnan(best[m]):
+        if math.isnan(best[m][0]):
             raise own.undefined_error(m)
-    best_idx: dict[str, int | None] = {m: None for m in measures}
     groups: dict[str, list[str]] = {}
     for m in measures:
         groups.setdefault(candidate_family(m, it, strategy), []).append(m)
     for family, ms in groups.items():
         cands = None
         if family == "strata":
-            cands = stratum_candidates(j, it, strategy)
+            cands = stratum_candidates(it, strategy)
         elif family == "rows":
             cands = row_constant_candidates(it)
         elif family == "search":
             cands = search_candidates(it, ms, strategy)
-        for ids, vals in _scan(it, j, cands, ms, strategy):
+        for digits in chunks(it if cands is None else cands, max(1, STACK_CELLS // j.probs.size)):
+            vals = candidate_values(j, it.joints_chunk(digits), ms, strategy)
             for m in ms:
-                k = int(np.argmax(vals[m]))
-                if float(vals[m][k]) > best[m]:
-                    best[m] = float(vals[m][k])
-                    best_idx[m] = int(ids[k])
+                best[m] = _pick(best[m], vals[m], digits)
     out = {}
-    for m in measures:
-        idx = best_idx[m]
+    for m, (value, first) in best.items():
         fmap = None
-        if idx is not None:
-            fm = np.zeros((it.d_x, it.d_z), dtype=int)  # y = 0 on unsupported cells
-            for (x, z), y in zip(it.cells, it.digits_of(np.array([idx]))[0]):
-                fm[x, z] = y
-            fmap = tuple(tuple(int(v) for v in row) for row in fm)
-        out[m] = BoundReport(
-            measure=m, max_value=best[m], argmax_fmap=fmap, n_enumerated=len(it)
-        )
+        if first is not None:  # each cell's y, read off the coupling; an empty cell's column is all 0, so y = 0
+            fmap = tuple(map(tuple, it.joints_chunk(first[None])[0].argmax(axis=1).tolist()))
+        out[m] = BoundReport(measure=m, max_value=value, argmax_fmap=fmap, n_enumerated=len(it))
     return out
 
 

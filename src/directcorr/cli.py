@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .bounds import BOUND_MEASURES, DEFAULT_CAP, achievable_bounds
+from .bounds import BOUND_MEASURES, DEFAULT_CAP, CouplingIterator, achievable_bounds
 from .datasets import (
     Dataset,
     data_dir,
@@ -62,8 +62,7 @@ BACKDOOR_CAVEAT = (
 
 DATA_ERRORS = (FileNotFoundError, MissingColumn, EmptyAfterFiltering, ZeroTotal)
 
-# What ``evaluate`` raises where a measure has no value.  Only analyze's point
-# values catch it (bootstrap shares them); sweep reads the engine's NaN instead.
+# What ``evaluate`` raises where a measure has no value; sweep reads the engine's NaN instead.
 UNDEFINED = (DegenerateVariable, SingularDenominator, SingleCategory)
 
 PC_OMITTED = "a variable has no ordinal interpretation"
@@ -193,9 +192,14 @@ def cmd_bounds(args) -> int:
     bad = [m for m in measures if m not in BOUND_MEASURES]
     if bad:
         raise UnknownMeasure(f"no achievable bound for {bad}; choose from {sorted(BOUND_MEASURES)}")
-    reports = achievable_bounds(ds.joint, measures, SparseStrategy.parse(args.strategy), args.cap)
-    print(f"dataset: {ds.name} ({reports[measures[0]].n_enumerated} couplings examined)")
+    strategy = SparseStrategy.parse(args.strategy)
+    values, undefined = _point_values(ds, measures, strategy)
+    reports = achievable_bounds(ds.joint, list(values), strategy, args.cap)
+    print(f"dataset: {ds.name} ({len(CouplingIterator(ds.joint, args.cap))} couplings examined)")
     for m in measures:
+        if m in undefined:
+            print(f"  bound {m:<10} ---  {undefined[m]}")
+            continue
         r = reports[m]
         attained = "observed joint" if r.argmax_fmap is None else f"f={r.argmax_fmap}"
         print(f"  bound {m:<10} {fmt(r.max_value)}  attained by {attained}")

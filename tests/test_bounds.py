@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from directcorr.bounds import (
     row_constant_candidates,
     rmi_max_uniform,
     search_candidates,
+    stratum_candidates,
 )
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import ExplosionGuard, UnknownMeasure
@@ -109,7 +112,7 @@ class TestCouplingIterator:
                 CouplingIterator(random_joint(rng, shape), cap=10**24)
 
     def test_chunked_digits_match_scalar(self, rng):
-        # every index decodes on its own, as the argmax map is decoded
+        # every position decodes on its own, so any range of the family can be decoded apart
         j = random_joint(rng, (2, 3, 2))
         it = CouplingIterator(j)
         digits = it.digits_chunk(0, len(it))
@@ -212,7 +215,7 @@ STRUCTURED = (*ROW_CONVEX, "rcmi")
 def enumerated_bounds(j: Joint3, measures, s) -> dict:
     """measure -> (max, argmax fmap) by full enumeration, with the pick rule of ``achievable_bounds``.
 
-    The observed joint comes first, then every coupling in index order, and
+    The observed joint comes first, then every coupling in family order, and
     a candidate replaces the best only when it is strictly greater.
     """
     it = CouplingIterator(j)
@@ -464,3 +467,66 @@ class TestStructuredBounds:
     def test_count_reports_the_whole_family(self):
         j = generated_442(1)
         assert {r.n_enumerated for r in achievable_bounds(j).values()} == {2**16}
+
+
+def product_members(cands) -> set[tuple[int, ...]]:
+    """Every coupling of a ``Product``, built from its factors by ``itertools.product``."""
+    members = set()
+    for choice in itertools.product(*(range(len(options)) for _, options in cands.factors)):
+        digits = np.zeros(cands.width, dtype=np.int64)
+        for (positions, options), k in zip(cands.factors, choice):
+            digits[positions] = options[k]
+        members.add(tuple(digits.tolist()))
+    return members
+
+
+class TestCandidateSets:
+    """Candidate sets are products streamed a chunk at a time, and the pick does not depend on the chunks."""
+
+    @pytest.mark.parametrize("step", [1, 7, 64])
+    def test_chunks_cover_the_product_once(self, step):
+        rng = np.random.default_rng(1016)
+        j = sparse_joint(rng, (4, 2, 3))
+        it = CouplingIterator(j)
+        sets = [row_constant_candidates(it), stratum_candidates(it, "b"),
+                search_candidates(it, tuple(SEARCHED), "b")]
+        for cands in sets:
+            parts = list(bounds_module.chunks(cands, step))
+            assert all(0 < len(part) <= step for part in parts)
+            rows = [tuple(r) for part in parts for r in part.tolist()]
+            assert len(rows) == len(cands)
+            if cands is not sets[-1]:  # the search's near-max sets of two measures may share a coupling
+                assert len(set(rows)) == len(rows)
+            assert set(rows) == product_members(cands)
+        # the whole family, and the row-constant couplings within it
+        family = [tuple(r) for part in bounds_module.chunks(it, step) for r in part.tolist()]
+        assert sorted(family) == sorted(set(family)) and len(family) == len(it) == 2 ** len(it.cells)
+        constant = {f for f in family if all(len({f[c] for c, (x, _) in enumerate(it.cells) if x == row}) == 1
+                                             for row in range(4))}
+        assert constant == product_members(sets[0])
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_small_chunks_name_what_enumeration_names(self, monkeypatch, s):
+        # With 48 cells a chunk holds a few couplings, so exact ties such as
+        # nace = 1.0 on Titanic fall in different chunks and sets.
+        monkeypatch.setattr(bounds_module, "STACK_CELLS", 48)
+        rng = np.random.default_rng(1017)
+        tables = [dataset_from_builtin(name).joint for name in ("titanic", "berkeley")]
+        tables += [j for _, j in fig5_corpus()] + [sparse_joint(rng, (3, 2, 3)) for _ in range(3)]
+        for j in tables:
+            assert_matches_enumeration(j, BOUND_MEASURES, s)
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_randomized_tables_with_the_search_forced(self, monkeypatch, s):
+        # Small tables, so every set is checked against the whole family:
+        # Dirichlet tables, sparse ones, and integer counts from 1 to 3, whose
+        # equal cell masses tie couplings beyond their y mirrors.
+        monkeypatch.setattr(bounds_module, "SEARCH_MIN", 0)
+        rng = np.random.default_rng(1018)
+        tables = []
+        for shape in [(3, 2, 3), (2, 2, 4), (4, 2, 2), (2, 2, 5), (2, 3, 3), (3, 3, 2)] * 2:
+            counts = rng.integers(1, 4, size=shape)
+            tables += [random_joint(rng, shape, alpha=0.7), sparse_joint(rng, shape),
+                       Joint3(tuple(Alphabet.of_size(d) for d in shape), counts / counts.sum())]
+        for j in tables:
+            assert_matches_enumeration(j, BOUND_MEASURES, s)

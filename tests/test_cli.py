@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from directcorr.bounds import CouplingIterator, candidate_family
+from directcorr.bounds import BOUND_MEASURES, CouplingIterator, candidate_family
 from directcorr.cli import BACKDOOR_CAVEAT, UNDEFINED, main
 from directcorr.datasets import dataset_from_csv, load_schema
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
@@ -306,6 +306,22 @@ class TestBoundsCommand:
     def test_rejects_unboundable(self, capsys):
         code, _, err = run(capsys, "bounds", "--builtin", "titanic", "--measures", "cmi")
         assert code == 2
+
+    def test_undefined_measure_printed_with_reason(self, capsys, tmp_path):
+        # X has one category: nace and race have no value, and the other measures are bounded as without them
+        data, schema = write_dataset(tmp_path, ONE_X, "a", "pq")
+        reason = "X has a single category; no pair of interventions to contrast"
+        undefined = [f"  bound {m:<10} ---  {reason}" for m in ("nace", "race")]
+        code, out, err = run(capsys, "bounds", "--csv", data, "--schema", schema)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [line for line in lines if "---" in line] == undefined
+        others = ",".join(m for m in BOUND_MEASURES if m not in ("nace", "race"))
+        _, alone, _ = run(capsys, "bounds", "--csv", data, "--schema", schema, "--measures", others)
+        assert [line for line in lines if "---" not in line] == alone.splitlines()
+        code, out, err = run(capsys, "bounds", "--csv", data, "--schema", schema, "--measures", "nace,race")
+        assert code == 0, err
+        assert out.splitlines() == [lines[0], *undefined]
 
     @pytest.mark.parametrize(
         "argv",
