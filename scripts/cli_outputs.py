@@ -121,6 +121,15 @@ COMMANDS = [
     ["bounds", "--csv", "full828.csv", "--schema", "full828.json", "--cap", str(10**24)],
     # nace and race are undefined where X has one category; the other measures are still bounded
     ["bounds", "--csv", "one_x.csv", "--schema", "one_x.json"],
+    # tables with empty (x,y,z) cells, where the observed joint can attain a bound at its reported value
+    ["analyze", "--builtin", "fig5", "--bounds"],
+    ["analyze", "--csv", "sparse333.csv", "--schema", "sparse333.json", "--bounds"],
+    ["bounds", "--csv", "sparse333.csv", "--schema", "sparse333.json"],
+    # blank lines are not rows; a short row is skipped with the column it lacks
+    ["analyze", "--csv", "titanic_blank.csv", "--schema", "titanic", "--measures", "rmi"],
+    # one dataset source per call
+    ["analyze", "--builtin", "titanic", "--csv", "gen442.csv", "--schema", "gen442.json"],
+    ["analyze", "--builtin", "titanic", "--schema", "titanic"],
 ]
 
 
@@ -188,6 +197,17 @@ def write_inputs(out: Path) -> None:
     cells = [("no", "p", 4), ("yes", "p", 2), ("no", "q", 1), ("yes", "q", 5)]
     _write(out / "one_x.csv", _csv("gx,gy,gz", (f"a,{y},{z}" for y, z, k in cells for _ in range(k))))
     _write(out / "one_x.json", json.dumps(one_x, indent=1) + "\n")
+    # a 3x3x3 table with about 40% of its (x,y,z) cells empty
+    sparse = {**json.loads(json.dumps(GEN442)), "name": "sparse333"}
+    sparse["roles"]["x"]["categories"], sparse["roles"]["z"]["categories"] = ["a", "b", "c"], ["p", "q", "r"]
+    sparse["roles"]["y"]["categories"] = ["u", "v", "w"]
+    counts = rng.integers(1, 6, size=(3, 3, 3)) * (rng.random((3, 3, 3)) < 0.6)
+    labels = [sparse["roles"][r]["categories"] for r in "xyz"]
+    rows = (f"{labels[0][x]},{labels[1][y]},{labels[2][z]}" for (x, y, z), k in np.ndenumerate(counts) for _ in range(k))
+    _write(out / "sparse333.csv", _csv("gx,gy,gz", rows))
+    _write(out / "sparse333.json", json.dumps(sparse, indent=1) + "\n")
+    # Titanic columns with two blank lines and a row that ends before Sex
+    _write(out / "titanic_blank.csv", "Pclass,Survived,Sex\n3,0,male\n\n1,1,female\n2,1\n\n1,0,male\n")
 
 
 def main(argv: list[str]) -> int:

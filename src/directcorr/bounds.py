@@ -6,19 +6,19 @@ below 1 and depends on the marginals and alphabet sizes.  This module
 computes that achievable bound as an exact maximum over a candidate
 family: every deterministic coupling y = f(x,z) (each keeps p(x,z)
 bitwise and concentrates each cell's mass on a single y), plus the
-observed joint itself, which trivially shares its own marginals and
-keeps the bound a true upper bound of the reported value.
+observed joint itself, at the value it is reported with, so no bound
+falls below the value it bounds.
 
-Candidates are scored by the batched measure engine (``engine.py``), each
-with its own marginals, under its ``on_support`` convention, chosen to
-keep the bound scale meaningful:
+Couplings are scored by the batched measure engine (``engine.py``), each
+with its own marginals, in the bound convention of ``_BoundContext``,
+chosen to keep the bound scale meaningful:
 
 * measures of two-variable objects (the (x,y) marginal for rmi, the
   do-rows for nace / race / rmi_do) use the standard divergences;
 * measures comparing a three-variable candidate against its own
   reconstruction (rcmi, rpmi, ricmi_*) accumulate the JS sums over the
-  candidate's support pattern only.  For a full-support candidate this
-  is exactly the plain measure; for a deterministic coupling it scores
+  candidate's support pattern only.  For a full-support table this is
+  exactly the plain measure; for a deterministic coupling it scores
   the divergence on the outcome pattern the coupling can realize, which
   keeps the bound on the scale of the observed values instead of the
   near-saturated values any deterministic table produces off-support.
@@ -54,7 +54,7 @@ cells one of their options:
   ties included.
 * rpmi, ricmi_xy, ricmi_yx and ricmi_two with a two-outcome Y: a search
   over the strata.  Let t = p(y=0) = sum_z a_z, where a_z is the mass
-  that stratum z's pattern sends to y = 0.  Under ``on_support`` each
+  that stratum z's pattern sends to y = 0.  In the bound convention each
   measure's JS is a sum over the strata of a term that reads only the
   stratum's pattern and t: ricmi_yx's p1 and p2 share the factor p(y)
   and a JS term is homogeneous, so its term is linear in t; ricmi_xy's
@@ -115,13 +115,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .engine import STACK_CELLS, BatchContext, measure_values
+from .engine import STACK_CELLS, BatchContext
 from .errors import ExplosionGuard, ShapeMismatch, UnknownMeasure
 from .prob import Joint3, _js_rows
+from .registry import evaluate
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 BOUND_MEASURES = (
@@ -249,6 +250,13 @@ class BoundReport:
     n_enumerated: int
 
 
+class _BoundContext(BatchContext):
+    """The engine in the bound convention: a JS against a reconstruction runs over the first table's support only."""
+
+    def js_to(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _js_rows(p, q, p > 0)
+
+
 def candidate_values(
     j: Joint3,
     stack: np.ndarray,
@@ -262,7 +270,8 @@ def candidate_values(
     """
     if stack.shape[1:] != j.shape:
         raise ShapeMismatch(f"candidates of shape {stack.shape[1:]} for a joint of shape {j.shape}")
-    return measure_values(stack, measures, s, support="on_support")
+    ctx = _BoundContext(stack, s)
+    return {m: ctx.value(m) for m in measures}
 
 
 def chunks(cands: Product | CouplingIterator, step: int) -> Iterator[np.ndarray]:
@@ -295,7 +304,7 @@ def stratum_candidates(it: CouplingIterator, s: SparseStrategy) -> Product:
     for z, cells in it.strata.items():
         best, near = -math.inf, []
         for digits, slices in it.patterns(z):
-            js = measure_values(slices, ("cmi_js",), s, support="on_support")["cmi_js"]
+            js = _BoundContext(slices, s).value("cmi_js")
             best = max(best, float(js.max()))
             keep = best - js <= TIE_TOL
             near.append((digits[keep], js[keep]))
@@ -318,7 +327,7 @@ MAX_CONFIRM = 2**16  # a near-max set larger than this is confirmed by scanning 
 SEARCH_MIN = T_CELLS + 1  # couplings per tabulated pattern below which scanning the family costs less
 
 
-class _StratumContext(BatchContext):
+class _StratumContext(_BoundContext):
     """Stratum slices of d_Y = 2 couplings, shape (n, d_X, 2, 1), under the whole couplings' p(x) and p(y).
 
     Inside one stratum the engine's conditionals, fills and reconstructions
@@ -327,7 +336,7 @@ class _StratumContext(BatchContext):
     """
 
     def __init__(self, slices: np.ndarray, s: SparseStrategy, px: np.ndarray, t: np.ndarray):
-        super().__init__(slices, s, support="on_support")
+        super().__init__(slices, s)
         self.px = np.broadcast_to(px, (self.n, self.d_x))
         self.py = np.stack([t, 1.0 - t], axis=1)
 
@@ -561,25 +570,22 @@ def candidate_family(measure: str, it: CouplingIterator, s: SparseStrategy | str
 
 def achievable_bounds(
     j: Joint3,
-    measures: Sequence[str] = BOUND_MEASURES,
+    points: Mapping[str, float],
     s: SparseStrategy = DEFAULT_STRATEGY,
     cap: int = DEFAULT_CAP,
 ) -> dict[str, BoundReport]:
-    """Exact achievable bounds of several measures; measures sharing a candidate set share its scan."""
+    """Exact achievable bounds around ``points``, each measure's ``evaluate`` value on ``j``.
+
+    Measures sharing a candidate set share its scan.
+    """
     strategy = SparseStrategy.parse(s)
-    for m in measures:
+    for m in points:
         if m not in BOUND_MEASURES:
             raise UnknownMeasure(f"no achievable bound for {m!r}; choose from {sorted(BOUND_MEASURES)}")
     it = CouplingIterator(j, cap=cap)
-    # The observed joint is always a candidate: it shares its own marginals,
-    # so the reported bound can never fall below the reported value.
-    own = BatchContext(j.probs[None], strategy, support="on_support")
-    best = {m: (float(own.value(m)[0]), None) for m in measures}
-    for m in measures:
-        if math.isnan(best[m][0]):
-            raise own.undefined_error(m)
+    best: dict[str, Best] = {m: (float(v), None) for m, v in points.items()}
     groups: dict[str, list[str]] = {}
-    for m in measures:
+    for m in points:
         groups.setdefault(candidate_family(m, it, strategy), []).append(m)
     for family, ms in groups.items():
         cands = None
@@ -609,4 +615,4 @@ def achievable_bound(
     cap: int = DEFAULT_CAP,
 ) -> BoundReport:
     """Exact achievable upper bound of one regularized measure under the observed p(x,z)."""
-    return achievable_bounds(j, (measure,), s=s, cap=cap)[measure]
+    return achievable_bounds(j, {measure: evaluate(j, measure, s)}, s, cap)[measure]

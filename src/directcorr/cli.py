@@ -82,6 +82,8 @@ def _parse_measures(text: str | None, default=TABLE_MEASURES) -> list[str]:
 
 
 def _resolve_dataset(args) -> Dataset:
+    if bool(args.csv) != bool(args.schema):
+        raise ValueError("--csv and --schema must be given together")
     if args.builtin:
         if args.builtin == "fig5":
             name, joint = fig5_corpus()[0]
@@ -95,10 +97,7 @@ def _resolve_dataset(args) -> Dataset:
             )
         return dataset_from_builtin(args.builtin)
     if args.csv:
-        if not args.schema:
-            raise ValueError("--csv needs --schema")
-        schema = load_schema(args.schema)
-        ds, report = dataset_from_csv(args.csv, schema)
+        ds, report = dataset_from_csv(args.csv, load_schema(args.schema))
         if report.n_skipped:
             print(
                 f"note: skipped {report.n_skipped} rows ({'; '.join(report.skipped_examples)})",
@@ -140,7 +139,7 @@ def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bound
     cis = {}
     if bootstrap_b:
         cis = bootstrap_cis(ds.observations, values, bootstrap_b, seed, strategy, ds.encoding)
-    wanted = [m for m in values if m in BOUND_MEASURES] if with_bounds else []
+    wanted = {m: v for m, v in values.items() if m in BOUND_MEASURES} if with_bounds else {}
     bounds = achievable_bounds(ds.joint, wanted, strategy, cap) if wanted else {}
     entries = []
     notes = [f"source: {ds.source}", f"strategy: {strategy.value}"]
@@ -194,7 +193,7 @@ def cmd_bounds(args) -> int:
         raise UnknownMeasure(f"no achievable bound for {bad}; choose from {sorted(BOUND_MEASURES)}")
     strategy = SparseStrategy.parse(args.strategy)
     values, undefined = _point_values(ds, measures, strategy)
-    reports = achievable_bounds(ds.joint, list(values), strategy, args.cap)
+    reports = achievable_bounds(ds.joint, values, strategy, args.cap)
     print(f"dataset: {ds.name} ({len(CouplingIterator(ds.joint, args.cap))} couplings examined)")
     for m in measures:
         if m in undefined:
@@ -347,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_dataset_args(p):
-        p.add_argument("--builtin", choices=("berkeley", "titanic", "fig5"), help="embedded dataset")
-        p.add_argument("--csv", help="path to a CSV file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin", choices=("berkeley", "titanic", "fig5"), help="embedded dataset")
+        source.add_argument("--csv", help="path to a CSV file")
         p.add_argument("--schema", help="canned schema name (titanic, adult, berkeley) or schema JSON path")
 
     def add_common(p, *flags):

@@ -286,9 +286,9 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     recurs, so memory is bounded by the schema's lookups (times the raw
     spellings ``strip`` folds together), not by the number of rows, even
     when a role is pointed at an ID column by mistake.  Under
-    ``on_unmapped: error`` the first bad row in file order raises.  A UTF-8
-    byte-order mark (as Excel writes one) is dropped, so it never becomes
-    part of the first column's name.
+    ``on_unmapped: error`` the first unmapped row raises; a short row is
+    skipped under either policy, and a blank line is not a row.  A UTF-8
+    byte-order mark (as Excel writes one) is dropped from the header.
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
@@ -320,7 +320,11 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
         triple = operator.itemgetter(*cols)
         for row in reader:
             if len(row) < width:
-                n_skipped += 1
+                if row:  # a blank line is not a row
+                    n_skipped += 1
+                    if len(examples) < 5:
+                        missing = next(spec.column for spec, col in zip(schema.roles, cols) if col >= len(row))
+                        examples[f"no field for column {missing!r}"] = None
                 continue
             key = triple(row)
             cell = cells.get(key)

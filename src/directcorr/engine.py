@@ -14,13 +14,11 @@ of a large stack near that of its most expensive measure.
 Rows never interact: every reduction runs inside one row, so row b of a
 stack gives the same value as the stack-of-1 call on that row.
 
-Two conventions, chosen by ``support``:
-
-* ``"dense"`` - the plain measures, as ``registry.evaluate`` reports them;
-* ``"on_support"`` - the achievable-bound convention (see ``bounds``):
-  measures comparing a three-variable table with its reconstruction
-  (cmi_js, rcmi, rpmi, ricmi_*) accumulate their JS sums only over the
-  support of the first table.  On full-support tables both agree.
+Every value is the plain measure, as ``registry.evaluate`` reports it.
+The measures comparing a three-variable table with its reconstruction
+(cmi_js, rcmi, rpmi, ricmi_*) take their JS from ``BatchContext.js_to``;
+the achievable bounds override it to score their candidates in their own
+convention (see ``bounds``).
 
 A value that is undefined for a candidate is NaN: pcc when an encoded
 variable is constant, pc also when a conditioning correlation is +-1,
@@ -47,7 +45,6 @@ from .errors import (
 from .prob import _entropy_rows, _js_rows, _kl_rows, _tv_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
-SUPPORTS = ("dense", "on_support")
 # Table cells per engine call when a long stack (bootstrap resamples, bound
 # candidates) is evaluated in chunks: keeps each temporary in cache.
 STACK_CELLS = 2**14
@@ -161,20 +158,11 @@ class BatchContext:
     (the bound search scores one stratum under a whole coupling's marginals).
     """
 
-    def __init__(
-        self,
-        stack: np.ndarray,
-        s: SparseStrategy | str = DEFAULT_STRATEGY,
-        codes: Codes | None = None,
-        support: str = "dense",
-    ):
-        if support not in SUPPORTS:
-            raise ValueError(f"support must be one of {SUPPORTS}, got {support!r}")
+    def __init__(self, stack: np.ndarray, s: SparseStrategy | str = DEFAULT_STRATEGY, codes: Codes | None = None):
         self.q = stack
         self.n, self.d_x, self.d_y, self.d_z = stack.shape
         self.strategy = SparseStrategy.parse(s)
         self.codes = codes
-        self.support = support
         self._values: dict[str, np.ndarray] = {}
 
     def value(self, measure: str) -> np.ndarray:
@@ -323,8 +311,8 @@ class BatchContext:
         return mi_rows(self.pxy, self.pxy.sum(axis=2), self.pxy.sum(axis=1))
 
     def js_to(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """JS(p, q) per candidate, over the support of p under the on_support convention."""
-        return _js_rows(p, q, p > 0 if self.support == "on_support" else None)
+        """JS(p, q) per candidate."""
+        return _js_rows(p, q)
 
     def js_pair(self, part: str) -> tuple[np.ndarray, np.ndarray]:
         """The pair whose JS is rpmi's ('rpmi': the table and its PMI reconstruction) or an ICMI direction's ('xy', 'yx')."""
@@ -384,9 +372,8 @@ def measure_values(
     measures: Sequence[str],
     s: SparseStrategy | str = DEFAULT_STRATEGY,
     codes: Codes | None = None,
-    support: str = "dense",
 ) -> dict[str, np.ndarray]:
     """Values of several measures on every candidate of a (n, d_X, d_Y, d_Z) stack; NaN where undefined."""
-    ctx = BatchContext(stack, s, codes, support)
+    ctx = BatchContext(stack, s, codes)
     return {m: ctx.value(m) for m in measures}
 

@@ -96,6 +96,8 @@ def bootstrap_cis(
     """
     if b_resamples < 2:
         raise ValueError("need at least 2 bootstrap resamples")
+    if not points:
+        return {}
     counts = obs.counts()
     n = obs.n
     codes = label_codes(obs.alphabets, points, enc)

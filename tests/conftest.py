@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from directcorr.bounds import BOUND_MEASURES, achievable_bounds
 from directcorr.prob import Alphabet, Joint3
+from directcorr.registry import evaluate
 
 
 def random_joint(rng, shape, alpha=1.0) -> Joint3:
@@ -20,6 +22,11 @@ def cond_indep_joint(rng, shape) -> Joint3:
     ygz = np.stack([rng.dirichlet(np.ones(dy)) for _ in range(dz)], axis=1)
     probs = xgz[:, None, :] * ygz[None, :, :] * pz[None, None, :]
     return Joint3(tuple(Alphabet.of_size(d) for d in shape), probs)
+
+
+def bounds_at_points(j: Joint3, measures=BOUND_MEASURES, s="b") -> dict:
+    """``achievable_bounds`` of ``measures`` on ``j``, each around its ``evaluate`` value, as the CLI calls it."""
+    return achievable_bounds(j, {m: evaluate(j, m, s) for m in measures}, s)
 
 
 def data_file(name: str) -> Path | None:

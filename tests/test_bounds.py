@@ -10,7 +10,6 @@ from directcorr.bounds import (
     SEARCHED,
     CouplingIterator,
     achievable_bound,
-    achievable_bounds,
     candidate_family,
     candidate_values,
     row_constant_candidates,
@@ -25,7 +24,7 @@ from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import evaluate
 from directcorr.resampling import _resample_counts
 
-from conftest import random_joint
+from conftest import bounds_at_points, random_joint
 
 
 def identity_coupling_joint(k: int) -> Joint3:
@@ -124,7 +123,7 @@ class TestCouplingIterator:
 class TestAchievableBounds:
     def test_titanic_matching_cells(self):
         j = dataset_from_builtin("titanic").joint
-        bs = achievable_bounds(j)
+        bs = bounds_at_points(j)
         assert bs["rmi"].max_value == pytest.approx(0.555, abs=2e-3)
         assert bs["rcmi"].max_value == pytest.approx(0.246, abs=2e-3)
         assert bs["ricmi_xy"].max_value == pytest.approx(0.252, abs=2e-3)
@@ -135,7 +134,7 @@ class TestAchievableBounds:
 
     def test_berkeley_matching_cells(self):
         j = dataset_from_builtin("berkeley").joint
-        bs = achievable_bounds(j)
+        bs = bounds_at_points(j)
         assert bs["rmi"].max_value == pytest.approx(0.549, abs=2e-3)
         assert bs["rcmi"].max_value == pytest.approx(0.222, abs=2e-3)
         assert bs["ricmi_xy"].max_value == pytest.approx(0.304, abs=2e-3)
@@ -156,14 +155,14 @@ class TestAchievableBounds:
         j = random_joint(rng, (2, 2, 2), alpha=0.7)
         _, stack = all_couplings(CouplingIterator(j))
         per = candidate_values(j, stack, BOUND_MEASURES)
-        bs = achievable_bounds(j)
+        bs = bounds_at_points(j)
         for m in BOUND_MEASURES:
             assert bs[m].max_value >= per[m].max() - 1e-12
 
     def test_argmax_fmap_attains_max(self):
         j = dataset_from_builtin("berkeley").joint
         pxz = j.probs.sum(axis=1)
-        for m, r in achievable_bounds(j).items():
+        for m, r in bounds_at_points(j).items():
             if r.argmax_fmap is None:
                 continue
             q = np.zeros(j.shape)
@@ -188,7 +187,7 @@ class TestAchievableBounds:
     def test_bound_dominates_value(self, rng):
         for _ in range(10):
             j = random_joint(rng, (2, 2, 2))
-            bs = achievable_bounds(j)
+            bs = bounds_at_points(j)
             for m in BOUND_MEASURES:
                 assert evaluate(j, m, "b") <= bs[m].max_value + 1e-9
 
@@ -196,8 +195,8 @@ class TestAchievableBounds:
         j = random_joint(rng, (2, 3, 2))
         perm = rng.permutation(3)
         relabeled = Joint3(j.alphabets, np.ascontiguousarray(j.probs[:, perm, :]))
-        a = achievable_bounds(j)
-        b = achievable_bounds(relabeled)
+        a = bounds_at_points(j)
+        b = bounds_at_points(relabeled)
         for m in BOUND_MEASURES:
             assert a[m].max_value == pytest.approx(b[m].max_value, abs=1e-10)
 
@@ -215,12 +214,12 @@ STRUCTURED = (*ROW_CONVEX, "rcmi")
 def enumerated_bounds(j: Joint3, measures, s) -> dict:
     """measure -> (max, argmax fmap) by full enumeration, with the pick rule of ``achievable_bounds``.
 
-    The observed joint comes first, then every coupling in family order, and
-    a candidate replaces the best only when it is strictly greater.
+    The observed joint comes first, at its reported value, then every
+    coupling in family order, and a candidate replaces the best only when
+    it is strictly greater.
     """
     it = CouplingIterator(j)
-    own = candidate_values(j, j.probs[None], measures, s)
-    best = {m: (float(own[m][0]), None) for m in measures}
+    best = {m: (evaluate(j, m, s), None) for m in measures}
     for start in range(0, len(it), 4096):
         stop = min(start + 4096, len(it))
         vals = candidate_values(j, it.joints_chunk(it.digits_chunk(start, stop)), measures, s)
@@ -241,9 +240,9 @@ def enumerated_bounds(j: Joint3, measures, s) -> dict:
 
 
 def value_at(j: Joint3, fmap, measure: str, s) -> float:
-    """Engine value of the coupling ``fmap`` (the observed joint when None) in the bound convention."""
+    """Engine value of the coupling ``fmap`` in the bound convention; the observed joint's reported value when None."""
     if fmap is None:
-        return float(candidate_values(j, j.probs[None], [measure], s)[measure][0])
+        return evaluate(j, measure, s)
     pxz = j.probs.sum(axis=1)
     q = np.zeros(j.shape)
     for (x, z), y in np.ndenumerate(np.array(fmap)):
@@ -255,7 +254,7 @@ def assert_matches_enumeration(j: Joint3, measures, s, each: bool = False) -> No
     """Bounds equal full enumeration; with ``each``, every measure is bounded on its own,
     so no other measure's candidate set can hold its maximizer for it."""
     ref = enumerated_bounds(j, measures, s)
-    got = {m: achievable_bound(j, m, s) for m in measures} if each else achievable_bounds(j, measures, s)
+    got = {m: achievable_bound(j, m, s) for m in measures} if each else bounds_at_points(j, measures, s)
     for m in measures:
         value, fmap = ref[m]
         r = got[m]
@@ -418,7 +417,7 @@ class TestStructuredBounds:
             return candidate_values(j, stack, measures, s)
 
         monkeypatch.setattr(bounds_module, "candidate_values", counting)
-        achievable_bounds(generated_442(1), tuple(SEARCHED))
+        bounds_at_points(generated_442(1), tuple(SEARCHED))
         assert 0 < sum(sent) < 0.01 * 2**16
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -466,7 +465,7 @@ class TestStructuredBounds:
 
     def test_count_reports_the_whole_family(self):
         j = generated_442(1)
-        assert {r.n_enumerated for r in achievable_bounds(j).values()} == {2**16}
+        assert {r.n_enumerated for r in bounds_at_points(j).values()} == {2**16}
 
 
 def product_members(cands) -> set[tuple[int, ...]]:

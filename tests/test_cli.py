@@ -25,8 +25,8 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def write_dataset(tmp_path, cells, x_labels, z_labels, z_ordinal=True) -> tuple[str, str]:
-    """A CSV of (x, y, z, count) cells and its schema, with Y in (no, yes)."""
+def write_dataset(tmp_path, cells, x_labels, z_labels, z_ordinal=True, y_labels=("no", "yes")) -> tuple[str, str]:
+    """A CSV of (x, y, z, count) cells and its schema."""
     rows = ["gx,gy,gz"] + [f"{x},{y},{z}" for x, y, z, k in cells for _ in range(k)]
     data = tmp_path / "data.csv"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -36,7 +36,7 @@ def write_dataset(tmp_path, cells, x_labels, z_labels, z_ordinal=True) -> tuple[
         "csv": {"has_header": True},
         "roles": {
             "x": {"column": "gx", "categories": list(x_labels)},
-            "y": {"column": "gy", "categories": ["no", "yes"]},
+            "y": {"column": "gy", "categories": list(y_labels)},
             "z": {"column": "gz", "categories": list(z_labels), "ordinal": z_ordinal},
         },
     }), encoding="utf-8")
@@ -49,12 +49,24 @@ Z_IS_X = tuple((x, y, x, k) for x, y, k in (("a", "no", 5), ("a", "yes", 3), ("b
 ONE_X = tuple(("a", y, z, k) for y, z, k in (("no", "p", 4), ("yes", "p", 2), ("no", "q", 1), ("yes", "q", 5)))
 # X = a occurs once in 8 rows, so about a third of the resamples miss it and leave pcc undefined
 RARE_X = (("a", "yes", "p", 1), ("b", "no", "p", 3), ("b", "yes", "q", 2), ("b", "no", "q", 2))
+# A 3x3x3 count table with 10 empty (x,y,z) cells, on which each coupling scored
+# on its own support falls below the observed rcmi, rpmi and ricmi values.
+SPARSE_333 = [[[3, 3, 4], [5, 1, 1], [0, 5, 2]],
+              [[0, 0, 0], [2, 5, 2], [0, 4, 3]],
+              [[0, 0, 0], [0, 5, 3], [5, 2, 0]]]
+
+
+def write_counts(tmp_path, counts) -> tuple[str, str]:
+    """A CSV expanding a 3x3x3 count table into rows, and its schema: X in abc, Y in uvw, Z in pqr."""
+    cells = [("abc"[x], "uvw"[y], "pqr"[z], k) for (x, y, z), k in np.ndenumerate(np.array(counts))]
+    return write_dataset(tmp_path, cells, "abc", "pqr", y_labels="uvw")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("analyze", "--csv", "any.csv"),
+        ("analyze", "--builtin", "titanic", "--schema", "titanic"),
         ("analyze", "--builtin", "berkeley", "--measures", ","),
         ("bounds", "--builtin", "berkeley", "--measures", ","),
         ("analyze", "--measures", "rmi"),
@@ -68,7 +80,7 @@ RARE_X = (("a", "yes", "p", 1), ("b", "no", "p", 3), ("b", "yes", "q", 2), ("b",
         ("bootstrap", "--builtin", "titanic", "-B", "0"),
         ("bootstrap", "--builtin", "titanic", "-B", "1"),
     ],
-    ids=["csv-without-schema", "analyze-no-measures", "bounds-no-measures", "no-dataset",
+    ids=["csv-without-schema", "schema-without-csv", "analyze-no-measures", "bounds-no-measures", "no-dataset",
          "set-without-value", "set-unknown-parameter", "zero-points", "negative-points",
          "output-without-format", "format-without-output", "set-and-sweep-same-parameter",
          "bootstrap-zero-resamples", "bootstrap-one-resample"],
@@ -88,8 +100,11 @@ def test_usage_error_exit_2(capsys, argv):
         (("bounds", "--builtin", "titanic", "--seed", "5"), None),
         (("bootstrap", "--builtin", "titanic", "--cap", "3"), None),
         (("analyze", "--builtin", "titanic", "--strategy", "z"), "argument --strategy: invalid choice: 'z'"),
+        # one dataset source per call, not the built-in resolved and the CSV ignored
+        (("bounds", "--builtin", "titanic", "--csv", "x.csv", "--schema", "titanic"),
+         "argument --csv: not allowed with argument --builtin"),
     ],
-    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap", "invalid-strategy"],
+    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap", "invalid-strategy", "builtin-and-csv"],
 )
 def test_flag_the_command_does_not_read_rejected(capsys, argv, message):
     """Argparse's own errors are one ``error:`` line too, with exit 2."""
@@ -247,6 +262,24 @@ class TestAnalyze:
         assert code == 0
         assert "0.245957" in out
 
+    @pytest.mark.parametrize("source", ["fig5", "sparse_333"])
+    def test_every_value_within_its_bound(self, capsys, tmp_path, source):
+        # Both tables have empty (x,y,z) cells; the observed joint enters each bound at its reported value.
+        if source == "fig5":
+            argv = ("--builtin", "fig5")
+        else:
+            data, schema = write_counts(tmp_path, SPARSE_333)
+            argv = ("--csv", data, "--schema", schema)
+        out_file = tmp_path / "report.csv"
+        code, _, err = run(capsys, "analyze", *argv, "--bounds", "--format", "csv", "--output", str(out_file))
+        assert code == 0, err
+        rows = {r["measure"]: r for r in csv.DictReader(io.StringIO(out_file.read_text(encoding="utf-8")))}
+        bounded = {m: (float(r["value"]), float(r["bound"])) for m, r in rows.items() if r["bound"]}
+        assert sorted(bounded) == sorted(BOUND_MEASURES)
+        assert all(value <= bound for value, bound in bounded.values()), bounded
+        if source == "fig5":
+            assert rows["rpmi"]["bound"] == rows["rpmi"]["value"] == "0.513351"
+
     def test_undefined_value_printed_as_dashes(self, capsys):
         # on fig5 a conditioning correlation is 1, so pc has no value
         code, out, err = run(capsys, "analyze", "--builtin", "fig5", "--measures", "all")
@@ -302,6 +335,22 @@ class TestBoundsCommand:
         code, out, _ = run(capsys, "bounds", "--builtin", "titanic", "--measures", "rmi,nace")
         assert code == 0
         assert "0.555334" in out and "1.000000" in out
+
+    def test_observed_joint_attains_its_reported_value(self, capsys, tmp_path):
+        # On a sparse table a bound attained by the observed joint prints the value analyze reports.
+        data, schema = write_counts(tmp_path, SPARSE_333)
+        joint = dataset_from_csv(data, load_schema(schema))[0].joint
+        code, out, err = run(capsys, "bounds", "--csv", data, "--schema", schema)
+        assert code == 0, err
+        lines = {line.split()[1]: line.split() for line in out.splitlines()[1:]}
+        assert sorted(lines) == sorted(BOUND_MEASURES)
+        observed = [m for m, words in lines.items() if words[-2:] == ["observed", "joint"]]
+        assert {"rcmi", "rpmi", "ricmi_two"} <= set(observed)
+        for m, words in lines.items():
+            value = evaluate(joint, m)
+            assert float(words[2]) >= round(value, 6), m
+            if m in observed:
+                assert words[2] == fmt(value), m
 
     def test_rejects_unboundable(self, capsys):
         code, _, err = run(capsys, "bounds", "--builtin", "titanic", "--measures", "cmi")

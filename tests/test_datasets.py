@@ -227,9 +227,10 @@ class TestLoadCsv:
         assert np.allclose(j.probs.sum(axis=(1, 2)), np.array(class_counts) / table.n, atol=1e-15)
 
     def test_counts_tallied_per_cell(self, tmp_path):
+        # two blank lines, which are not rows, and a short row, which is skipped with the column it lacks
         path = tmp_path / "rows.csv"
         path.write_text(
-            "Pclass,Survived,Sex\n3,0,male\n1,1,female\n3,0,male\n9,0,male\n3\n3,1,male\n",
+            "Pclass,Survived,Sex\n3,0,male\n\n1,1,female\n3,0,male\n9,0,male\n\n3\n3,1,male\n",
             encoding="utf-8",
         )
         report = load_csv_report(path, load_schema("titanic"))
@@ -239,6 +240,7 @@ class TestLoadCsv:
         expected[2, 1, 1] = 1
         assert np.array_equal(report.table.counts(), expected)
         assert (report.n_rows, report.n_skipped) == (4, 2)
+        assert report.skipped_examples == ("unmapped value '9' in column 'Pclass'", "no field for column 'Survived'")
 
 
 # Raw spellings per role, the plain valid ones first (5, 2 and 3 of them);
@@ -272,15 +274,24 @@ def equivalence_csv(path, seed: int) -> None:
 
 
 def reference_load(path, schema: DatasetSchema):
-    """Counts, skipped rows, the first 5 distinct messages and all distinct messages, one row at a time."""
+    """Counts, skipped rows, the first 5 distinct messages and all distinct messages, one row at a time.
+
+    A blank line is not a row; a short row is skipped with a message naming
+    the first role whose column it lacks.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     cols = [spec.column if isinstance(spec.column, int) else header.index(spec.column) for spec in schema.roles]
     counts = np.zeros(tuple(len(spec.categories) for spec in schema.roles), dtype=np.int64)
     skipped, messages = 0, []
     for row in rows:
+        if not row:
+            continue
         if len(row) <= max(cols):
+            missing = next(spec.column for spec, col in zip(schema.roles, cols) if col >= len(row))
+            message = f"no field for column {missing!r}"
             skipped += 1
+            messages += [message] if message not in messages else []
             continue
         cell = []
         for spec, col in zip(schema.roles, cols):

@@ -154,6 +154,14 @@ class TestBootstrapCi:
         for m, ci in cis.items():
             assert (ci.lower, ci.upper, ci.n_excluded) == (expected[m].lower, expected[m].upper, expected[m].n_excluded)
 
+    def test_no_points_draws_nothing(self, monkeypatch):
+        # as with `bootstrap --measures pc` on a table where pc is omitted
+        monkeypatch.setattr("directcorr.resampling._resample_counts", None)
+        obs = titanic_observations()
+        assert bootstrap_cis(obs, {}, 1000, seed=4) == {}
+        with pytest.raises(ValueError):
+            bootstrap_cis(obs, {}, 1, seed=4)
+
     def test_constant_dataset_zero_width(self):
         t = table_from_counts([[[10, 0], [0, 0]], [[0, 0], [0, 0]]])
         r = bootstrap_ci(t, "rmi", 50, seed=0)
