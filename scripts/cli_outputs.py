@@ -130,6 +130,17 @@ COMMANDS = [
     # one dataset source per call
     ["analyze", "--builtin", "titanic", "--csv", "gen442.csv", "--schema", "gen442.json"],
     ["analyze", "--builtin", "titanic", "--schema", "titanic"],
+    # a CSV that cannot be read: a directory, bytes that are not UTF-8, a field past the csv module's limit
+    ["analyze", "--csv", "csv_dir", "--schema", "titanic"],
+    ["analyze", "--csv", "titanic_latin1.csv", "--schema", "titanic"],
+    ["analyze", "--csv", "titanic_long_field.csv", "--schema", "titanic"],
+    # each id once in --measures, and some id in it
+    ["analyze", "--builtin", "titanic", "--measures", "rmi,rmi"],
+    ["analyze", "--builtin", "titanic", "--measures", ""],
+    # a run that stops at a usage error prints no back-door caveat before it
+    ["analyze", "--builtin", "titanic", "--bootstrap", "1"],
+    ["analyze", "--builtin", "fig5", "--bootstrap", "10"],
+    ["reproduce", "--bootstrap", "1"],
 ]
 
 
@@ -208,6 +219,9 @@ def write_inputs(out: Path) -> None:
     _write(out / "sparse333.json", json.dumps(sparse, indent=1) + "\n")
     # Titanic columns with two blank lines and a row that ends before Sex
     _write(out / "titanic_blank.csv", "Pclass,Survived,Sex\n3,0,male\n\n1,1,female\n2,1\n\n1,0,male\n")
+    (out / "csv_dir").mkdir()
+    _write(out / "titanic_latin1.csv", "Pclass,Survived,Sex\n1,0,male\n2,1,fémale\n", "latin-1")
+    _write(out / "titanic_long_field.csv", f"Pclass,Survived,Sex\n1,0,male\n3,0,{'m' * 140_000}\n")
 
 
 def main(argv: list[str]) -> int:

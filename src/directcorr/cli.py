@@ -1,8 +1,9 @@
 """Command-line front end: analyze, reproduce, sweep, bounds, bootstrap.
 
-Exit codes: 0 success, 1 data error (files, schemas, empty data),
-2 usage or computation error.  Human tables go to stdout; --format
-csv|json writes machine-readable files; stderr carries caveats.
+Exit codes: 0 success, 1 data error (an unreadable file, a missing column,
+empty data), 2 usage or computation error or a malformed schema.  Human
+tables go to stdout; --format csv|json writes machine-readable files; stderr
+carries caveats.
 """
 
 from __future__ import annotations
@@ -26,16 +27,7 @@ from .datasets import (
     load_schema,
 )
 from .engine import PAIR_KERNELS, BatchContext
-from .errors import (
-    DegenerateVariable,
-    DirectCorrError,
-    EmptyAfterFiltering,
-    MissingColumn,
-    SingleCategory,
-    SingularDenominator,
-    UnknownMeasure,
-    ZeroTotal,
-)
+from .errors import DataError, DirectCorrError, Undefined, UnknownMeasure
 from .models import (
     DecisionParams,
     SimpleParams,
@@ -60,24 +52,19 @@ BACKDOOR_CAVEAT = (
     "this is a modeling assumption the data cannot verify."
 )
 
-DATA_ERRORS = (FileNotFoundError, MissingColumn, EmptyAfterFiltering, ZeroTotal)
-
-# What ``evaluate`` raises where a measure has no value; sweep reads the engine's NaN instead.
-UNDEFINED = (DegenerateVariable, SingularDenominator, SingleCategory)
-
 PC_OMITTED = "a variable has no ordinal interpretation"
 
 SWEEP_DEFAULT_MEASURES = ("rcmi", "ricmi_two", "nace", "race", "rmi_do")
 
 
 def _parse_measures(text: str | None, default=TABLE_MEASURES) -> list[str]:
-    if not text or text == "all":
+    if text is None or text == "all":
         return list(default)
     ids = [m.strip() for m in text.split(",") if m.strip()]
-    if not ids:
-        raise ValueError(f"--measures {text!r} names no measure")
     for m in ids:
         get_measure(m)
+    if not ids or len(set(ids)) < len(ids):
+        raise ValueError(f"--measures {text!r} must name at least one measure, and each only once")
     return ids
 
 
@@ -119,7 +106,7 @@ def _point_values(ds: Dataset, measures, strategy: SparseStrategy) -> tuple[dict
             continue
         try:
             values[m] = evaluate(ds.joint, m, strategy, ds.encoding)
-        except UNDEFINED as exc:
+        except Undefined as exc:
             undefined[m] = str(exc)
     return values, undefined
 
@@ -173,9 +160,9 @@ def cmd_analyze(args) -> int:
         raise ValueError("--format and --output must be given together")
     ds = _resolve_dataset(args)
     measures = _parse_measures(args.measures)
+    report = _build_report(ds, measures, args.strategy, args.bootstrap, args.seed, args.bounds, args.cap)
     if any(get_measure(m).do_family for m in measures):
         print(BACKDOOR_CAVEAT, file=sys.stderr)
-    report = _build_report(ds, measures, args.strategy, args.bootstrap, args.seed, args.bounds, args.cap)
     if args.format:
         text = to_csv([report]) if args.format == "csv" else to_json([report])
         Path(args.output).write_text(text, encoding="utf-8")
@@ -310,7 +297,6 @@ def _compare(entry: MeasureEntry | None, ref: benchmarks.ReferenceCell, with_ci:
 
 
 def cmd_reproduce(args) -> int:
-    print(BACKDOOR_CAVEAT, file=sys.stderr)
     n_pass = n_fail = n_skip = 0
     for name in ("titanic", "adult", "berkeley"):
         expected = benchmarks.REFERENCE[name]
@@ -326,6 +312,7 @@ def cmd_reproduce(args) -> int:
             n_pass += ok
             n_fail += not ok
             print(f"  {m:<10} {line}")
+    print(BACKDOOR_CAVEAT, file=sys.stderr)
     print(f"reproduce summary: {n_pass} cells ok, {n_fail} failed, {n_skip} skipped")
     return 0 if n_fail == 0 else 2
 
@@ -409,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except (DirectCorrError, ValueError) as exc:

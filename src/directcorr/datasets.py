@@ -33,7 +33,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
+from .errors import DataError, EmptyAfterFiltering, MissingColumn, UnknownCategory
 from .prob import Alphabet, Joint3, ObservationTable
 from .registry import NumericEncoding
 
@@ -288,7 +288,9 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     when a role is pointed at an ID column by mistake.  Under
     ``on_unmapped: error`` the first unmapped row raises; a short row is
     skipped under either policy, and a blank line is not a row.  A UTF-8
-    byte-order mark (as Excel writes one) is dropped from the header.
+    byte-order mark (as Excel writes one) is dropped from the header.  A file
+    that is not UTF-8, or that the csv module cannot parse (a field past its
+    131,072 characters), raises ``DataError`` naming the file and line.
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
@@ -312,33 +314,43 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        header = next(reader, None) if schema.has_header else None
-        if schema.has_header and header is None:
-            raise EmptyAfterFiltering(f"{path}: file is empty")
-        cols = _resolve_columns(schema, header)
-        width = max(cols) + 1
-        triple = operator.itemgetter(*cols)
-        for row in reader:
-            if len(row) < width:
-                if row:  # a blank line is not a row
-                    n_skipped += 1
-                    if len(examples) < 5:
-                        missing = next(spec.column for spec, col in zip(schema.roles, cols) if col >= len(row))
-                        examples[f"no field for column {missing!r}"] = None
-                continue
-            key = triple(row)
-            cell = cells.get(key)
-            if cell is None:
-                cell = resolve(key)
-                if isinstance(cell, str):
-                    if schema.on_unmapped == "error":
-                        raise UnknownCategory(cell)
-                    n_skipped += 1
-                    if len(examples) < 5:
-                        examples[cell] = None
+        try:
+            header = next(reader, None) if schema.has_header else None
+            if schema.has_header and header is None:
+                raise EmptyAfterFiltering(f"{path}: file is empty")
+            cols = _resolve_columns(schema, header)
+            width = max(cols) + 1
+            triple = operator.itemgetter(*cols)
+            for row in reader:
+                if len(row) < width:
+                    if row:  # a blank line is not a row
+                        n_skipped += 1
+                        if len(examples) < 5:
+                            missing = next(spec.column for spec, col in zip(schema.roles, cols) if col >= len(row))
+                            examples[f"no field for column {missing!r}"] = None
                     continue
-                cells[key] = cell
-            tally[cell] += 1
+                key = triple(row)
+                cell = cells.get(key)
+                if cell is None:
+                    cell = resolve(key)
+                    if isinstance(cell, str):
+                        if schema.on_unmapped == "error":
+                            raise UnknownCategory(cell)
+                        n_skipped += 1
+                        if len(examples) < 5:
+                            examples[cell] = None
+                        continue
+                    cells[key] = cell
+                tally[cell] += 1
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            try:  # decoded whole, so the offset is in the file, not in the chunk the reader had buffered
+                Path(path).read_bytes().decode("utf-8-sig")
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+                raise DataError(f"{path}, line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+            raise
     n_rows = sum(tally)
     if not n_rows:
         raise EmptyAfterFiltering(f"{path}: no usable rows for schema {schema.name!r}")

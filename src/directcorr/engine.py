@@ -37,9 +37,9 @@ import numpy as np
 
 from .errors import (
     DegenerateVariable,
-    DirectCorrError,
     SingleCategory,
     SingularDenominator,
+    Undefined,
     UnknownMeasure,
 )
 from .prob import _entropy_rows, _js_rows, _kl_rows, _tv_rows
@@ -174,7 +174,7 @@ class BatchContext:
             self._values[measure] = kernel(self)
         return self._values[measure]
 
-    def undefined_error(self, measure: str, row: int = 0) -> DirectCorrError:
+    def undefined_error(self, measure: str, row: int = 0) -> Undefined:
         """The exception the single-joint path raises where ``measure`` is NaN on candidate ``row``."""
         if measure in PAIR_KERNELS:
             return SingleCategory(SINGLE)

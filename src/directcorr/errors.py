@@ -13,19 +13,27 @@ class ShapeMismatch(DirectCorrError, ValueError):
     """Two distributions passed to a divergence have different shapes."""
 
 
-class ZeroTotal(DirectCorrError, ValueError):
+class DataError(DirectCorrError, ValueError):
+    """The data given cannot be read or holds nothing to measure (the CLI's exit 1)."""
+
+
+class ZeroTotal(DataError):
     """A count table holds no observations at all."""
 
 
-class DegenerateVariable(DirectCorrError, ValueError):
+class Undefined(DirectCorrError, ValueError):
+    """A measure has no value on this joint; ``evaluate`` raises it where the engine gives NaN."""
+
+
+class DegenerateVariable(Undefined):
     """A variable is constant under its numeric encoding (zero variance)."""
 
 
-class SingularDenominator(DirectCorrError, ValueError):
+class SingularDenominator(Undefined):
     """A conditioning correlation has magnitude 1, so the partial correlation is undefined."""
 
 
-class SingleCategory(DirectCorrError, ValueError):
+class SingleCategory(Undefined):
     """A pairwise-contrast measure needs at least two categories of X."""
 
 
@@ -45,9 +53,9 @@ class UnknownCategory(DirectCorrError, ValueError):
     """A raw value has no mapping in the declared alphabet."""
 
 
-class MissingColumn(DirectCorrError, ValueError):
+class MissingColumn(DataError):
     """A CSV file lacks a column the schema requires."""
 
 
-class EmptyAfterFiltering(DirectCorrError, ValueError):
+class EmptyAfterFiltering(DataError):
     """No usable rows remain after applying the schema."""

@@ -48,37 +48,35 @@ from .sparse import DEFAULT_STRATEGY, SparseStrategy
 @dataclass(frozen=True)
 class MeasureSpec:
     id: str
-    label: str
     lo: float
     hi: float
-    needs_encoding: bool
     do_family: bool
 
 
 _SPECS: list[MeasureSpec] = [
-    MeasureSpec("pcc", "Pearson correlation", -1, 1, True, False),
-    MeasureSpec("pc", "partial correlation", -1, 1, True, False),
-    MeasureSpec("mi", "mutual information (bits)", 0, math.inf, False, False),
-    MeasureSpec("nmi_y", "normalized MI toward Y", 0, 1, False, False),
-    MeasureSpec("nmi_x", "normalized MI toward X", 0, 1, False, False),
-    MeasureSpec("nmi_max", "normalized MI (larger direction)", 0, 1, False, False),
-    MeasureSpec("rmi", "regularized MI", 0, 1, False, False),
-    MeasureSpec("cmi", "conditional MI (bits)", 0, math.inf, False, False),
-    MeasureSpec("cmi_js", "JS-normalized CMI", 0, 1, False, False),
-    MeasureSpec("rcmi", "regularized CMI", 0, 1, False, False),
-    MeasureSpec("pmi", "part MI (bits)", 0, math.inf, False, False),
-    MeasureSpec("rpmi", "regularized part MI", 0, 1, False, False),
-    MeasureSpec("icmi_xy", "one-way independent CMI X->Y (bits)", 0, math.inf, False, False),
-    MeasureSpec("icmi_yx", "one-way independent CMI Y->X (bits)", 0, math.inf, False, False),
-    MeasureSpec("ricmi_xy", "regularized ICMI X->Y", 0, 1, False, False),
-    MeasureSpec("ricmi_yx", "regularized ICMI Y->X", 0, 1, False, False),
-    MeasureSpec("ricmi_two", "regularized ICMI two-way", 0, 1, False, False),
-    MeasureSpec("ace", "average causal effect", 0, 1, False, True),
-    MeasureSpec("nace", "normalized ACE", 0, 1, False, True),
-    MeasureSpec("ace_kl", "KL ACE (bits)", 0, math.inf, False, True),
-    MeasureSpec("race", "regularized ACE", 0, 1, False, True),
-    MeasureSpec("mi_do", "normalized MI of the intervened joint", 0, 1, False, True),
-    MeasureSpec("rmi_do", "regularized MI of the intervened joint", 0, 1, False, True),
+    MeasureSpec("pcc", -1, 1, False),
+    MeasureSpec("pc", -1, 1, False),
+    MeasureSpec("mi", 0, math.inf, False),
+    MeasureSpec("nmi_y", 0, 1, False),
+    MeasureSpec("nmi_x", 0, 1, False),
+    MeasureSpec("nmi_max", 0, 1, False),
+    MeasureSpec("rmi", 0, 1, False),
+    MeasureSpec("cmi", 0, math.inf, False),
+    MeasureSpec("cmi_js", 0, 1, False),
+    MeasureSpec("rcmi", 0, 1, False),
+    MeasureSpec("pmi", 0, math.inf, False),
+    MeasureSpec("rpmi", 0, 1, False),
+    MeasureSpec("icmi_xy", 0, math.inf, False),
+    MeasureSpec("icmi_yx", 0, math.inf, False),
+    MeasureSpec("ricmi_xy", 0, 1, False),
+    MeasureSpec("ricmi_yx", 0, 1, False),
+    MeasureSpec("ricmi_two", 0, 1, False),
+    MeasureSpec("ace", 0, 1, True),
+    MeasureSpec("nace", 0, 1, True),
+    MeasureSpec("ace_kl", 0, math.inf, True),
+    MeasureSpec("race", 0, 1, True),
+    MeasureSpec("mi_do", 0, 1, True),
+    MeasureSpec("rmi_do", 0, 1, True),
 ]
 
 MEASURES: dict[str, MeasureSpec] = {m.id: m for m in _SPECS}
@@ -125,23 +123,14 @@ class NumericEncoding:
 DEFAULT_ENCODING = NumericEncoding()
 
 
-def label_codes(
-    alphabets: Sequence[Alphabet], measure_ids: Sequence[str], enc: NumericEncoding
-) -> Codes | None:
-    """Numeric codes of the X, Y and Z labels when one of the measures is linear, else None."""
-    if any(get_measure(m).needs_encoding for m in measure_ids):
-        return enc.codes(alphabets)
-    return None
-
-
 def evaluate(
     j: Joint3,
     measure_id: str,
     s: SparseStrategy = DEFAULT_STRATEGY,
     enc: NumericEncoding = DEFAULT_ENCODING,
 ) -> float:
-    """One measure on one joint: the engine's stack-of-1 call, raising where the value is undefined."""
-    ctx = BatchContext(j.probs[None], s, label_codes(j.alphabets, (measure_id,), enc))
+    """One measure on one joint (the engine's stack-of-1 call); raises where undefined, or on a malformed ``enc``."""
+    ctx = BatchContext(j.probs[None], s, enc.codes(j.alphabets))
     v = float(ctx.value(measure_id)[0])
     if math.isnan(v):
         raise ctx.undefined_error(measure_id)

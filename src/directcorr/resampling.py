@@ -27,7 +27,7 @@ import numpy as np
 from .engine import STACK_CELLS, measure_values
 from .errors import MeasureFailure
 from .prob import ObservationTable
-from .registry import DEFAULT_ENCODING, NumericEncoding, evaluate, label_codes
+from .registry import DEFAULT_ENCODING, NumericEncoding, evaluate
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 RNG_ID = "numpy-pcg64/seedseq(seed,b)"
@@ -100,7 +100,7 @@ def bootstrap_cis(
         return {}
     counts = obs.counts()
     n = obs.n
-    codes = label_codes(obs.alphabets, points, enc)
+    codes = enc.codes(obs.alphabets)
     step = max(1, STACK_CELLS // counts.size)
     chunks: dict[str, list[np.ndarray]] = {m: [] for m in points}
     for start in range(0, b_resamples, step):

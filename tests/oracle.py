@@ -5,6 +5,11 @@ arithmetic for all probability algebra (marginals, conditionals, fills,
 reconstructions), converting to floats only inside the final log sums.
 Nothing here imports from the package under test.
 
+``all_measures`` computes the marginals, filled conditionals,
+reconstructions and do-rows of its joint once (an ``_Exact`` made for that
+call) and derives every measure from them; each public function makes its
+own, so nothing is kept between calls.
+
 Conventions mirror the documented ones: base-2 logs, 0 log 0 = 0, the
 KL divergence returns math.inf on support violations, undefined
 conditionals are filled per the a/b/c sparse rules, and a denominator
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 ZERO = Fraction(0)
@@ -101,42 +107,6 @@ def _target_given_z(pair_tz, pz):
     return out
 
 
-def y_given_xz(p, strategy):
-    """Filled conditional p(y|x,z) as nested list [x][z][y]."""
-    dx, dy, dz = _shape(p)
-    pxz = marg_xz(p)
-    pz = marg_z(p)
-    py = marg_y(p)
-    ygz = _target_given_z([[sum(p[x][y][z] for x in range(dx)) for z in range(dz)] for y in range(dy)], pz)
-    out = []
-    for x in range(dx):
-        out.append([])
-        for z in range(dz):
-            if pxz[x][z] > 0:
-                out[-1].append([p[x][y][z] / pxz[x][z] for y in range(dy)])
-            else:
-                out[-1].append(_fill_value(strategy, dy, py, ygz, z))
-    return out
-
-
-def x_given_yz(p, strategy):
-    """Filled conditional p(x|y,z) as nested list [y][z][x]."""
-    dx, dy, dz = _shape(p)
-    pyz = marg_yz(p)
-    pz = marg_z(p)
-    px = marg_x(p)
-    xgz = _target_given_z([[sum(p[x][y][z] for y in range(dy)) for z in range(dz)] for x in range(dx)], pz)
-    out = []
-    for y in range(dy):
-        out.append([])
-        for z in range(dz):
-            if pyz[y][z] > 0:
-                out[-1].append([p[x][y][z] / pyz[y][z] for x in range(dx)])
-            else:
-                out[-1].append(_fill_value(strategy, dx, px, xgz, z))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Divergences (flatten any nested structure first).
 # ---------------------------------------------------------------------------
@@ -192,29 +162,12 @@ def tv_dist(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Total-correlation measures.
+# One joint under one fill rule: every quantity computed at most once.
 # ---------------------------------------------------------------------------
 
 
-def pcc_xy(p, x_codes=None, y_codes=None):
-    """Pearson correlation of the (x,y) marginal; None when a variance is zero."""
-    pxy = marg_xy(p)
-    dx, dy = len(pxy), len(pxy[0])
-    xv = x_codes or list(range(dx))
-    yv = y_codes or list(range(dy))
-    px = [sum(pxy[x]) for x in range(dx)]
-    py = [sum(pxy[x][y] for x in range(dx)) for y in range(dy)]
-    ex = sum(Fraction(xv[x]) * px[x] for x in range(dx))
-    ey = sum(Fraction(yv[y]) * py[y] for y in range(dy))
-    exy = sum(Fraction(xv[x]) * Fraction(yv[y]) * pxy[x][y] for x in range(dx) for y in range(dy))
-    vx = sum(Fraction(xv[x]) ** 2 * px[x] for x in range(dx)) - ex * ex
-    vy = sum(Fraction(yv[y]) ** 2 * py[y] for y in range(dy)) - ey * ey
-    if vx <= 0 or vy <= 0:
-        return None
-    return float(exy - ex * ey) / math.sqrt(float(vx * vy))
-
-
 def _pcc_pair(pair, a_codes, b_codes):
+    """Pearson correlation of a two-variable table under the given codes; None when a variance is zero."""
     da, db = len(pair), len(pair[0])
     pa = [sum(pair[a]) for a in range(da)]
     pb = [sum(pair[a][b] for a in range(da)) for b in range(db)]
@@ -228,244 +181,421 @@ def _pcc_pair(pair, a_codes, b_codes):
     return float(eab - ea * eb) / math.sqrt(float(va * vb))
 
 
+def _rmi_pair(joint, a, b):
+    prod = [[a[i] * b[k] for k in range(len(b))] for i in range(len(a))]
+    return math.sqrt(js_bits(joint, prod))
+
+
+class _Exact:
+    """The exact quantities of one joint under one fill rule, each computed on first use."""
+
+    def __init__(self, p, strategy="b"):
+        self.p = p
+        self.strategy = strategy
+        self.shape = _shape(p)
+
+    # -- marginals and filled conditionals
+
+    @cached_property
+    def px(self):
+        return marg_x(self.p)
+
+    @cached_property
+    def py(self):
+        return marg_y(self.p)
+
+    @cached_property
+    def pz(self):
+        return marg_z(self.p)
+
+    @cached_property
+    def pxy(self):
+        return marg_xy(self.p)
+
+    @cached_property
+    def pxz(self):
+        return marg_xz(self.p)
+
+    @cached_property
+    def pyz(self):
+        return marg_yz(self.p)
+
+    @cached_property
+    def y_given_xz(self):
+        """Filled conditional p(y|x,z) as nested list [x][z][y]."""
+        p, (dx, dy, dz) = self.p, self.shape
+        ygz = _target_given_z(self.pyz, self.pz)
+        out = []
+        for x in range(dx):
+            out.append([])
+            for z in range(dz):
+                if self.pxz[x][z] > 0:
+                    out[-1].append([p[x][y][z] / self.pxz[x][z] for y in range(dy)])
+                else:
+                    out[-1].append(_fill_value(self.strategy, dy, self.py, ygz, z))
+        return out
+
+    @cached_property
+    def x_given_yz(self):
+        """Filled conditional p(x|y,z) as nested list [y][z][x]."""
+        p, (dx, dy, dz) = self.p, self.shape
+        xgz = _target_given_z(self.pxz, self.pz)
+        out = []
+        for y in range(dy):
+            out.append([])
+            for z in range(dz):
+                if self.pyz[y][z] > 0:
+                    out[-1].append([p[x][y][z] / self.pyz[y][z] for x in range(dx)])
+                else:
+                    out[-1].append(_fill_value(self.strategy, dx, self.px, xgz, z))
+        return out
+
+    # -- reconstructions and do-rows
+
+    @cached_property
+    def q_cmi(self):
+        dx, dy, dz = self.shape
+        pxz, pyz, pz = self.pxz, self.pyz, self.pz
+        q = [[[ZERO] * dz for _ in range(dy)] for _ in range(dx)]
+        for x, y, z in _cells((dx, dy, dz)):
+            if pz[z] > 0:
+                q[x][y][z] = pxz[x][z] * pyz[y][z] / pz[z]
+        return q
+
+    @cached_property
+    def q_pmi(self):
+        dx, dy, dz = self.shape
+        px, py, pz = self.px, self.py, self.pz
+        xg, yg = self.x_given_yz, self.y_given_xz
+        qx = [[sum(xg[y][z][x] * py[y] for y in range(dy)) for x in range(dx)] for z in range(dz)]
+        qy = [[sum(yg[x][z][y] * px[x] for x in range(dx)) for y in range(dy)] for z in range(dz)]
+        q = [[[ZERO] * dz for _ in range(dy)] for _ in range(dx)]
+        for z in range(dz):
+            if pz[z] == 0:
+                continue
+            mass = sum(qx[z]) * sum(qy[z])
+            for x in range(dx):
+                for y in range(dy):
+                    q[x][y][z] = qx[z][x] * qy[z][y] * pz[z] / mass
+        return q
+
+    @cached_property
+    def icmi_pair_xy(self):
+        dx, dy, dz = self.shape
+        px, pz, pyz, yg = self.px, self.pz, self.pyz, self.y_given_xz
+        p1 = [[[yg[x][z][y] * px[x] * pz[z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
+        p2 = [[[px[x] * pyz[y][z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
+        return p1, p2
+
+    @cached_property
+    def icmi_pair_yx(self):
+        dx, dy, dz = self.shape
+        py, pz, pxz, xg = self.py, self.pz, self.pxz, self.x_given_yz
+        p1 = [[[xg[y][z][x] * py[y] * pz[z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
+        p2 = [[[py[y] * pxz[x][z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
+        return p1, p2
+
+    @cached_property
+    def do_rows(self):
+        dx, dy, dz = self.shape
+        pz, yg = self.pz, self.y_given_xz
+        return [[sum(yg[x][z][y] * pz[z] for z in range(dz)) for y in range(dy)] for x in range(dx)]
+
+    @cached_property
+    def p_do(self):
+        rows = self.do_rows
+        return [[rows[x][y] * self.px[x] for y in range(len(rows[0]))] for x in range(len(self.px))]
+
+    @cached_property
+    def p_do_margins(self):
+        pdo = self.p_do
+        return [sum(row) for row in pdo], [sum(pdo[x][y] for x in range(len(pdo))) for y in range(len(pdo[0]))]
+
+    # -- total correlation
+
+    @cached_property
+    def pcc(self):
+        dx, dy, _ = self.shape
+        return _pcc_pair(self.pxy, list(range(dx)), list(range(dy)))
+
+    @cached_property
+    def pc(self):
+        """Partial correlation with ordinal codes; None when undefined."""
+        dx, dy, dz = self.shape
+        cxy = self.pcc
+        cxz = _pcc_pair(self.pxz, list(range(dx)), list(range(dz)))
+        cyz = _pcc_pair(self.pyz, list(range(dy)), list(range(dz)))
+        if cxy is None or cxz is None or cyz is None:
+            return None
+        den = (1 - cxz * cxz) * (1 - cyz * cyz)
+        if den <= 0:
+            return None
+        return (cxy - cxz * cyz) / math.sqrt(den)
+
+    @cached_property
+    def mi(self):
+        return entropy_bits(self.px) + entropy_bits(self.py) - entropy_bits(self.pxy)
+
+    @cached_property
+    def nmi(self):
+        m, hx, hy = self.mi, entropy_bits(self.px), entropy_bits(self.py)
+        to_y = m / hy if hy > 0 else 0.0
+        to_x = m / hx if hx > 0 else 0.0
+        return to_y, to_x, max(to_y, to_x)
+
+    @cached_property
+    def rmi(self):
+        return _rmi_pair(self.pxy, self.px, self.py)
+
+    # -- removal family
+
+    @cached_property
+    def cmi(self):
+        return kl_bits(self.p, self.q_cmi)
+
+    @cached_property
+    def cmi_js(self):
+        return js_bits(self.p, self.q_cmi)
+
+    @cached_property
+    def rcmi(self):
+        return math.sqrt(self.cmi_js)
+
+    @cached_property
+    def pmi(self):
+        return kl_bits(self.p, self.q_pmi)
+
+    @cached_property
+    def rpmi(self):
+        return math.sqrt(js_bits(self.p, self.q_pmi))
+
+    @cached_property
+    def icmi_xy(self):
+        return kl_bits(*self.icmi_pair_xy)
+
+    @cached_property
+    def icmi_yx(self):
+        return kl_bits(*self.icmi_pair_yx)
+
+    @cached_property
+    def ricmi_xy(self):
+        return math.sqrt(js_bits(*self.icmi_pair_xy))
+
+    @cached_property
+    def ricmi_yx(self):
+        return math.sqrt(js_bits(*self.icmi_pair_yx))
+
+    @cached_property
+    def ricmi_two(self):
+        return (self.ricmi_xy + self.ricmi_yx) / 2.0
+
+    # -- do family
+
+    @cached_property
+    def ace(self):
+        rows = self.do_rows
+        best = ZERO
+        for i in range(len(rows)):
+            for k in range(len(rows)):
+                if i == k:
+                    continue
+                for y in range(len(rows[0])):
+                    best = max(best, rows[i][y] - rows[k][y])
+        return float(best)
+
+    @cached_property
+    def nace(self):
+        rows = self.do_rows
+        best = ZERO
+        for i in range(len(rows)):
+            for k in range(i + 1, len(rows)):
+                best = max(best, sum(abs(a - b) for a, b in zip(rows[i], rows[k])) / 2)
+        return float(best)
+
+    @cached_property
+    def ace_kl(self):
+        rows = self.do_rows
+        best = 0.0
+        for i in range(len(rows)):
+            for k in range(len(rows)):
+                if i != k:
+                    best = max(best, kl_bits(rows[i], rows[k]))
+        return best
+
+    @cached_property
+    def race(self):
+        rows = self.do_rows
+        best = 0.0
+        for i in range(len(rows)):
+            for k in range(i + 1, len(rows)):
+                best = max(best, math.sqrt(js_bits(rows[i], rows[k])))
+        return best
+
+    @cached_property
+    def mi_do(self):
+        pdx, pdy = self.p_do_margins
+        hy = entropy_bits(pdy)
+        if hy <= 0:
+            return 0.0
+        return (entropy_bits(pdx) + hy - entropy_bits(self.p_do)) / hy
+
+    @cached_property
+    def rmi_do(self):
+        return _rmi_pair(self.p_do, *self.p_do_margins)
+
+
+# ---------------------------------------------------------------------------
+# The public definitions, one joint (and fill rule) per call.
+# ---------------------------------------------------------------------------
+
+
+def y_given_xz(p, strategy):
+    """Filled conditional p(y|x,z) as nested list [x][z][y]."""
+    return _Exact(p, strategy).y_given_xz
+
+
+def x_given_yz(p, strategy):
+    """Filled conditional p(x|y,z) as nested list [y][z][x]."""
+    return _Exact(p, strategy).x_given_yz
+
+
+def pcc_xy(p, x_codes=None, y_codes=None):
+    """Pearson correlation of the (x,y) marginal; None when a variance is zero."""
+    dx, dy, _ = _shape(p)
+    return _pcc_pair(marg_xy(p), x_codes or list(range(dx)), y_codes or list(range(dy)))
+
+
 def pc_xyz(p):
     """Partial correlation with ordinal codes; None when undefined."""
-    dx, dy, dz = _shape(p)
-    cxy = _pcc_pair(marg_xy(p), list(range(dx)), list(range(dy)))
-    cxz = _pcc_pair(marg_xz(p), list(range(dx)), list(range(dz)))
-    cyz = _pcc_pair([[marg_yz(p)[y][z] for z in range(dz)] for y in range(dy)], list(range(dy)), list(range(dz)))
-    if cxy is None or cxz is None or cyz is None:
-        return None
-    den = (1 - cxz * cxz) * (1 - cyz * cyz)
-    if den <= 0:
-        return None
-    return (cxy - cxz * cyz) / math.sqrt(den)
+    return _Exact(p).pc
 
 
 def mi_xy(p) -> float:
-    pxy = marg_xy(p)
-    px = marg_x(p)
-    py = marg_y(p)
-    return entropy_bits(px) + entropy_bits(py) - entropy_bits(pxy)
+    return _Exact(p).mi
 
 
 def nmi(p):
-    m = mi_xy(p)
-    hx = entropy_bits(marg_x(p))
-    hy = entropy_bits(marg_y(p))
-    to_y = m / hy if hy > 0 else 0.0
-    to_x = m / hx if hx > 0 else 0.0
-    return to_y, to_x, max(to_y, to_x)
+    return _Exact(p).nmi
 
 
 def rmi(p) -> float:
-    pxy = marg_xy(p)
-    px = marg_x(p)
-    py = marg_y(p)
-    prod = [[px[x] * py[y] for y in range(len(py))] for x in range(len(px))]
-    return math.sqrt(js_bits(pxy, prod))
-
-
-# ---------------------------------------------------------------------------
-# Removal-family measures.
-# ---------------------------------------------------------------------------
+    return _Exact(p).rmi
 
 
 def q_cmi(p):
-    dx, dy, dz = _shape(p)
-    pxz = marg_xz(p)
-    pyz = marg_yz(p)
-    pz = marg_z(p)
-    q = [[[ZERO] * dz for _ in range(dy)] for _ in range(dx)]
-    for x, y, z in _cells((dx, dy, dz)):
-        if pz[z] > 0:
-            q[x][y][z] = pxz[x][z] * pyz[y][z] / pz[z]
-    return q
+    return _Exact(p).q_cmi
 
 
 def cmi(p) -> float:
-    return kl_bits(p, q_cmi(p))
+    return _Exact(p).cmi
 
 
 def cmi_js(p) -> float:
-    return js_bits(p, q_cmi(p))
+    return _Exact(p).cmi_js
 
 
 def rcmi(p) -> float:
-    return math.sqrt(cmi_js(p))
+    return _Exact(p).rcmi
 
 
 def q_pmi(p, strategy):
-    dx, dy, dz = _shape(p)
-    px = marg_x(p)
-    py = marg_y(p)
-    pz = marg_z(p)
-    xg = x_given_yz(p, strategy)
-    yg = y_given_xz(p, strategy)
-    qx = [[sum(xg[y][z][x] * py[y] for y in range(dy)) for x in range(dx)] for z in range(dz)]
-    qy = [[sum(yg[x][z][y] * px[x] for x in range(dx)) for y in range(dy)] for z in range(dz)]
-    q = [[[ZERO] * dz for _ in range(dy)] for _ in range(dx)]
-    for z in range(dz):
-        if pz[z] == 0:
-            continue
-        mass = sum(qx[z]) * sum(qy[z])
-        for x in range(dx):
-            for y in range(dy):
-                q[x][y][z] = qx[z][x] * qy[z][y] * pz[z] / mass
-    return q
+    return _Exact(p, strategy).q_pmi
 
 
 def pmi(p, strategy) -> float:
-    return kl_bits(p, q_pmi(p, strategy))
+    return _Exact(p, strategy).pmi
 
 
 def rpmi(p, strategy) -> float:
-    return math.sqrt(js_bits(p, q_pmi(p, strategy)))
+    return _Exact(p, strategy).rpmi
 
 
 def icmi_pair_xy(p, strategy):
-    dx, dy, dz = _shape(p)
-    px = marg_x(p)
-    pz = marg_z(p)
-    pyz = marg_yz(p)
-    yg = y_given_xz(p, strategy)
-    p1 = [[[yg[x][z][y] * px[x] * pz[z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
-    p2 = [[[px[x] * pyz[y][z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
-    return p1, p2
+    return _Exact(p, strategy).icmi_pair_xy
 
 
 def icmi_pair_yx(p, strategy):
-    dx, dy, dz = _shape(p)
-    py = marg_y(p)
-    pz = marg_z(p)
-    pxz = marg_xz(p)
-    xg = x_given_yz(p, strategy)
-    p1 = [[[xg[y][z][x] * py[y] * pz[z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
-    p2 = [[[py[y] * pxz[x][z] for z in range(dz)] for y in range(dy)] for x in range(dx)]
-    return p1, p2
+    return _Exact(p, strategy).icmi_pair_yx
 
 
 def icmi_xy(p, strategy) -> float:
-    return kl_bits(*icmi_pair_xy(p, strategy))
+    return _Exact(p, strategy).icmi_xy
 
 
 def icmi_yx(p, strategy) -> float:
-    return kl_bits(*icmi_pair_yx(p, strategy))
+    return _Exact(p, strategy).icmi_yx
 
 
 def ricmi_xy(p, strategy) -> float:
-    return math.sqrt(js_bits(*icmi_pair_xy(p, strategy)))
+    return _Exact(p, strategy).ricmi_xy
 
 
 def ricmi_yx(p, strategy) -> float:
-    return math.sqrt(js_bits(*icmi_pair_yx(p, strategy)))
+    return _Exact(p, strategy).ricmi_yx
 
 
 def ricmi_two(p, strategy) -> float:
-    return (ricmi_xy(p, strategy) + ricmi_yx(p, strategy)) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Do-calculus measures.
-# ---------------------------------------------------------------------------
+    return _Exact(p, strategy).ricmi_two
 
 
 def do_rows(p, strategy):
-    dx, dy, dz = _shape(p)
-    pz = marg_z(p)
-    yg = y_given_xz(p, strategy)
-    return [[sum(yg[x][z][y] * pz[z] for z in range(dz)) for y in range(dy)] for x in range(dx)]
+    return _Exact(p, strategy).do_rows
 
 
 def ace(p, strategy) -> float:
-    rows = do_rows(p, strategy)
-    best = ZERO
-    for i in range(len(rows)):
-        for k in range(len(rows)):
-            if i == k:
-                continue
-            for y in range(len(rows[0])):
-                best = max(best, rows[i][y] - rows[k][y])
-    return float(best)
+    return _Exact(p, strategy).ace
 
 
 def nace(p, strategy) -> float:
-    rows = do_rows(p, strategy)
-    best = ZERO
-    for i in range(len(rows)):
-        for k in range(i + 1, len(rows)):
-            best = max(best, sum(abs(a - b) for a, b in zip(rows[i], rows[k])) / 2)
-    return float(best)
+    return _Exact(p, strategy).nace
 
 
 def ace_kl(p, strategy) -> float:
-    rows = do_rows(p, strategy)
-    best = 0.0
-    for i in range(len(rows)):
-        for k in range(len(rows)):
-            if i != k:
-                best = max(best, kl_bits(rows[i], rows[k]))
-    return best
+    return _Exact(p, strategy).ace_kl
 
 
 def race(p, strategy) -> float:
-    rows = do_rows(p, strategy)
-    best = 0.0
-    for i in range(len(rows)):
-        for k in range(i + 1, len(rows)):
-            best = max(best, math.sqrt(js_bits(rows[i], rows[k])))
-    return best
+    return _Exact(p, strategy).race
 
 
 def p_do(p, strategy):
-    px = marg_x(p)
-    rows = do_rows(p, strategy)
-    return [[rows[x][y] * px[x] for y in range(len(rows[0]))] for x in range(len(px))]
+    return _Exact(p, strategy).p_do
 
 
 def mi_do(p, strategy) -> float:
-    pdo = p_do(p, strategy)
-    pdx = [sum(row) for row in pdo]
-    pdy = [sum(pdo[x][y] for x in range(len(pdo))) for y in range(len(pdo[0]))]
-    hy = entropy_bits(pdy)
-    if hy <= 0:
-        return 0.0
-    return (entropy_bits(pdx) + hy - entropy_bits(pdo)) / hy
+    return _Exact(p, strategy).mi_do
 
 
 def rmi_do(p, strategy) -> float:
-    pdo = p_do(p, strategy)
-    pdx = [sum(row) for row in pdo]
-    pdy = [sum(pdo[x][y] for x in range(len(pdo))) for y in range(len(pdo[0]))]
-    prod = [[pdx[x] * pdy[y] for y in range(len(pdy))] for x in range(len(pdx))]
-    return math.sqrt(js_bits(pdo, prod))
+    return _Exact(p, strategy).rmi_do
 
 
 def all_measures(p, strategy="b"):
-    """Every measure id the registry exposes, computed from the definitions."""
-    to_y, to_x, best = nmi(p)
+    """Every measure id the registry exposes, computed from the definitions on one ``_Exact`` of the joint."""
+    e = _Exact(p, strategy)
+    to_y, to_x, best = e.nmi
     return {
-        "pcc": pcc_xy(p),
-        "pc": pc_xyz(p),
-        "mi": mi_xy(p),
+        "pcc": e.pcc,
+        "pc": e.pc,
+        "mi": e.mi,
         "nmi_y": to_y,
         "nmi_x": to_x,
         "nmi_max": best,
-        "rmi": rmi(p),
-        "cmi": cmi(p),
-        "cmi_js": cmi_js(p),
-        "rcmi": rcmi(p),
-        "pmi": pmi(p, strategy),
-        "rpmi": rpmi(p, strategy),
-        "icmi_xy": icmi_xy(p, strategy),
-        "icmi_yx": icmi_yx(p, strategy),
-        "ricmi_xy": ricmi_xy(p, strategy),
-        "ricmi_yx": ricmi_yx(p, strategy),
-        "ricmi_two": ricmi_two(p, strategy),
-        "ace": ace(p, strategy),
-        "nace": nace(p, strategy),
-        "ace_kl": ace_kl(p, strategy),
-        "race": race(p, strategy),
-        "mi_do": mi_do(p, strategy),
-        "rmi_do": rmi_do(p, strategy),
+        "rmi": e.rmi,
+        "cmi": e.cmi,
+        "cmi_js": e.cmi_js,
+        "rcmi": e.rcmi,
+        "pmi": e.pmi,
+        "rpmi": e.rpmi,
+        "icmi_xy": e.icmi_xy,
+        "icmi_yx": e.icmi_yx,
+        "ricmi_xy": e.ricmi_xy,
+        "ricmi_yx": e.ricmi_yx,
+        "ricmi_two": e.ricmi_two,
+        "ace": e.ace,
+        "nace": e.nace,
+        "ace_kl": e.ace_kl,
+        "race": e.race,
+        "mi_do": e.mi_do,
+        "rmi_do": e.rmi_do,
     }

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from directcorr.bounds import BOUND_MEASURES, CouplingIterator, candidate_family
-from directcorr.cli import BACKDOOR_CAVEAT, UNDEFINED, main
+from directcorr.cli import BACKDOOR_CAVEAT, main
 from directcorr.datasets import dataset_from_csv, load_schema
+from directcorr.errors import Undefined
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
 from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
 from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, human_table, to_csv, to_json
@@ -79,11 +80,21 @@ def write_counts(tmp_path, counts) -> tuple[str, str]:
         ("sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam1=0.2", "--sweep", "lam1"),
         ("bootstrap", "--builtin", "titanic", "-B", "0"),
         ("bootstrap", "--builtin", "titanic", "-B", "1"),
+        ("analyze", "--builtin", "berkeley", "--measures", ""),
+        ("analyze", "--builtin", "berkeley", "--measures", "rmi,rcmi,rmi"),
+        ("bounds", "--builtin", "berkeley", "--measures", "rmi,rmi"),
+        ("bootstrap", "--builtin", "berkeley", "--measures", "nace, nace", "-B", "20"),
+        ("sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--measures", "rmi,rmi"),
+        # the back-door caveat is not printed before the error of a do-family run
+        ("analyze", "--builtin", "titanic", "--bootstrap", "1"),
+        ("analyze", "--builtin", "fig5", "--bootstrap", "10"),
     ],
     ids=["csv-without-schema", "schema-without-csv", "analyze-no-measures", "bounds-no-measures", "no-dataset",
          "set-without-value", "set-unknown-parameter", "zero-points", "negative-points",
          "output-without-format", "format-without-output", "set-and-sweep-same-parameter",
-         "bootstrap-zero-resamples", "bootstrap-one-resample"],
+         "bootstrap-zero-resamples", "bootstrap-one-resample", "analyze-empty-measures", "analyze-repeated-id",
+         "bounds-repeated-id", "bootstrap-repeated-id", "sweep-repeated-id", "analyze-one-resample",
+         "analyze-fig5-bootstrap"],
 )
 def test_usage_error_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -212,6 +223,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--csv", "/nonexistent/file.csv", "--schema", "titanic")
         assert code == 1
         assert "data error" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "Is a directory"),
+        (b"Pclass,Survived,Sex\n1,0,male\n2,1,f\xe9male\n", "data.csv, line 3: byte 0xe9 is not UTF-8"),
+        (b"Pclass,Survived,Sex\n1,0,male\n3,0," + b"m" * 140_000 + b"\n",
+         "data.csv, line 3: field larger than field limit (131072)"),
+    ], ids=["directory", "not-utf8", "long-field"])
+    def test_unreadable_csv_exit_1(self, capsys, tmp_path, content, message):
+        """A CSV that cannot be read is one ``data error:`` line naming it, and exit 1."""
+        path = tmp_path / "data.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", "--csv", str(path), "--schema", "titanic")
+        assert (code, out) == (1, "")
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_pc_omitted_for_berkeley(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "pcc,pc")
@@ -523,7 +552,7 @@ class TestSweep:
             for m in MEASURES:
                 try:
                     cell = fmt(evaluate(joint, m, strategy))
-                except UNDEFINED as exc:
+                except Undefined as exc:
                     cell = ""
                     undefined.setdefault(m, []).append(str(exc))
                 lines.append(f"{sweep},{v:.6f},{m},{cell}")
@@ -608,6 +637,12 @@ class TestReproduce:
         assert lines[1].endswith("; ci --- vs [-0.4, -0.28] FAIL")
         assert lines[2].endswith("; ci --- vs [-0.38, -0.26] FAIL")
         assert "== berkeley [embedded counts]" in lines
+
+    def test_no_caveat_before_an_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))
+        code, _, err = run(capsys, "reproduce", "--bootstrap", "1")
+        assert code == 2
+        assert err == "error: need at least 2 bootstrap resamples\n"
 
     def test_missing_adult_column_skipped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DIRECTCORR_DATA", str(tmp_path))

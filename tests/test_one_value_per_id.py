@@ -9,10 +9,12 @@ the same exception where the value is undefined.
 import numpy as np
 import pytest
 
-from directcorr.errors import DirectCorrError
+from directcorr.engine import BatchContext
+from directcorr.errors import DegenerateVariable, DirectCorrError, SingleCategory, SingularDenominator, Undefined
 from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import (
     MEASURES,
+    NumericEncoding,
     ace,
     ace_kl,
     cmi,
@@ -99,3 +101,24 @@ def test_public_function_equals_evaluate(measure, s):
     for j in JOINTS:
         expected = _outcome(lambda: evaluate(j, measure, s))
         assert _outcome(lambda: PUBLIC[measure](j, s)) == expected, (measure, s, j.shape)
+
+
+@pytest.mark.parametrize("measure", list(MEASURES))
+def test_malformed_encoding_raises_for_every_id(measure):
+    """The codes are built for every id, so a wrong-length encoding fails whichever measure is asked for."""
+    j = JOINTS[1]
+    assert j.shape[0] > 1
+    with pytest.raises(ValueError, match=f"must be {j.shape[0]} finite values"):
+        evaluate(j, measure, enc=NumericEncoding(x=(1.0,)))
+
+
+def test_every_undefined_error_is_undefined():
+    """What ``evaluate`` raises for a NaN value is an ``errors.Undefined``, whichever reason it names."""
+    raised = set()
+    for j in JOINTS:
+        ctx = BatchContext(j.probs[None])
+        for m in MEASURES:
+            exc = ctx.undefined_error(m)
+            assert isinstance(exc, Undefined), (m, exc)
+            raised.add(type(exc))
+    assert raised == {DegenerateVariable, SingularDenominator, SingleCategory}
