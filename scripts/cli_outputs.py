@@ -141,6 +141,9 @@ COMMANDS = [
     ["analyze", "--builtin", "titanic", "--bootstrap", "1"],
     ["analyze", "--builtin", "fig5", "--bootstrap", "10"],
     ["reproduce", "--bootstrap", "1"],
+    # a schema file read by path whatever its suffix, and one that is not UTF-8
+    ["analyze", "--csv", "gen442.csv", "--schema", "gen442.txt", "--measures", "rmi"],
+    ["analyze", "--csv", "gen442.csv", "--schema", "gen442_latin1.json", "--measures", "rmi"],
 ]
 
 
@@ -165,6 +168,9 @@ def write_inputs(out: Path) -> None:
     _write(out / "gen442.csv", _csv("gx,gy,gz", (",".join(c) for c in cells)))
     _write(out / "gen442.json", json.dumps(GEN442, indent=1) + "\n")
     _write(out / "gen442_bom.json", json.dumps(GEN442, indent=1) + "\n", "utf-8-sig")
+    _write(out / "gen442.txt", json.dumps(GEN442, indent=1) + "\n")
+    _write(out / "gen442_latin1.json", json.dumps({**GEN442, "name": "gén442"}, indent=1, ensure_ascii=False) + "\n",
+           "latin-1")
     # the 8-row table on which over 5% of the resamples exclude pcc
     rare = json.loads(json.dumps(GEN442))
     rare["roles"]["x"]["categories"], rare["roles"]["z"]["categories"] = ["a", "b"], ["p", "q"]
@@ -235,6 +241,8 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_inputs(out)
     env = {**os.environ, "DIRECTCORR_DATA": "data"}  # no data files: reproduce uses the embedded tables
+    if env.get("PYTHONPATH"):  # the commands run in OUTDIR: a relative entry is resolved where it was given
+        env["PYTHONPATH"] = os.pathsep.join(str(Path(p).resolve()) for p in env["PYTHONPATH"].split(os.pathsep) if p)
     for i, cmd in enumerate(COMMANDS):
         proc = subprocess.run([sys.executable, "-m", "directcorr.cli", *cmd], cwd=out, env=env,
                               capture_output=True, text=True)

@@ -14,7 +14,7 @@ tolerance and reported honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 POINT_TOL = 0.002
 CI_TOL = 0.02
@@ -22,8 +22,7 @@ SEED = 20260419
 B_RESAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class ReferenceCell:
+class ReferenceCell(NamedTuple):
     value: float | None
     ci: tuple[float, float] | None = None
     bound: float | None = None

@@ -114,8 +114,7 @@ and the parts' picks reduced by the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,8 +234,7 @@ class CouplingIterator:
             yield digits, slices
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Achievable upper bound of one measure and the coupling attaining it.
 
     ``argmax_fmap`` is None when the observed joint itself attains the

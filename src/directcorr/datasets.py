@@ -26,10 +26,10 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -241,24 +241,43 @@ def schema_from_json(text: str) -> DatasetSchema:
     return DatasetSchema(obj["name"], *(_column_spec_from_json(roles[role], role) for role in "xyz"), **csv_opts)
 
 
+CANNED_SCHEMAS = ("titanic", "adult", "berkeley")
+
+
+def _not_utf8(where: str, exc: UnicodeDecodeError) -> DataError:
+    """The error for bytes that are not UTF-8, naming ``where`` and the line of the first bad byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return DataError(f"{where}, line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
+
+
 def load_schema(name_or_path: str) -> DatasetSchema:
-    """A canned schema by name (titanic, adult, berkeley) or any schema JSON by path (a byte-order mark is dropped)."""
-    path = Path(name_or_path)
-    if path.suffix != ".json" or not path.exists():
+    """A canned schema by name (titanic, adult, berkeley), else a schema JSON by path, whatever its suffix.
+
+    A byte-order mark is dropped; a file that is not UTF-8 raises ``DataError``
+    naming it and the line of its first bad byte.
+    """
+    if name_or_path in CANNED_SCHEMAS:
         path = resources.files("directcorr") / "schemas" / f"{name_or_path}.json"
-        if not path.is_file():
-            raise FileNotFoundError(f"no canned schema named {name_or_path!r} and no such file")
-    return schema_from_json(path.read_text(encoding="utf-8-sig"))
+    else:
+        path = Path(name_or_path)
+        if not path.exists():
+            raise FileNotFoundError(
+                f"no canned schema named {name_or_path!r} ({', '.join(CANNED_SCHEMAS)}) and no such file"
+            )
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(f"schema {name_or_path}", exc) from None
+    return schema_from_json(text)
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     """Ingestion result: the table plus how many rows were set aside and why."""
 
     table: ObservationTable
     n_rows: int
     n_skipped: int
-    skipped_examples: tuple[str, ...] = field(default_factory=tuple)
+    skipped_examples: tuple[str, ...] = ()
 
 
 def _resolve_columns(schema: DatasetSchema, header: list[str] | None) -> list[int]:
@@ -348,8 +367,7 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
             try:  # decoded whole, so the offset is in the file, not in the chunk the reader had buffered
                 Path(path).read_bytes().decode("utf-8-sig")
             except UnicodeDecodeError as exc:
-                line = exc.object.count(b"\n", 0, exc.start) + 1
-                raise DataError(f"{path}, line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+                raise _not_utf8(str(path), exc) from None
             raise
     n_rows = sum(tally)
     if not n_rows:
@@ -367,8 +385,7 @@ def load_csv(path: str | os.PathLike, schema: DatasetSchema) -> ObservationTable
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     name: str
     joint: Joint3
     observations: ObservationTable | None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .prob import Alphabet, Joint3
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     id: str
     lo: float
     hi: float
@@ -96,8 +95,7 @@ def get_measure(measure_id: str) -> MeasureSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class NumericEncoding:
+class NumericEncoding(NamedTuple):
     """Real values for the labels of X, Y and Z, in label order; used by pcc and pc only.
 
     A role left as None keeps the ordinal codes 0, 1, 2, ... of its labels.
@@ -157,8 +155,7 @@ def mutual_information(j: Joint3) -> float:
     return evaluate(j, "mi")
 
 
-@dataclass(frozen=True)
-class NormalizedMi:
+class NormalizedMi(NamedTuple):
     """Directional normalized mutual information; ``max`` is the larger direction."""
 
     to_y: float
@@ -222,8 +219,7 @@ def icmi_oneway(j: Joint3, direction: str = "xy", s: SparseStrategy = DEFAULT_ST
     return evaluate(j, f"icmi_{direction}", s)
 
 
-@dataclass(frozen=True)
-class RicmiResult:
+class RicmiResult(NamedTuple):
     xy: float
     yx: float
     two_way: float

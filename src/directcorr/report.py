@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .registry import get_measure
 
@@ -45,11 +46,10 @@ class MeasureEntry:
             raise ValueError(f"{self.measure} value {v} exceeds its achievable bound {self.bound}")
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     dataset: str
     entries: tuple[MeasureEntry, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def human_table(report: MeasureReport) -> str:

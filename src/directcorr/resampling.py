@@ -19,8 +19,7 @@ degenerates to [min, max].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ RNG_ID = "numpy-pcg64/seedseq(seed,b)"
 MAX_EXCLUDED_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class CiReport:
+class CiReport(NamedTuple):
     """Point estimate with a percentile bootstrap interval (NaN where over 5% of resamples were excluded)."""
 
     measure: str

@@ -242,6 +242,14 @@ class TestAnalyze:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_schema_not_utf8_exit_1(self, capsys, tmp_path):
+        """A schema that is not UTF-8 is a ``data error:`` naming the schema file and line, and exit 1."""
+        schema = tmp_path / "schema.json"
+        schema.write_bytes(b'{"name": "g\xe9n"}\n')
+        code, out, err = run(capsys, "analyze", "--csv", str(tmp_path / "data.csv"), "--schema", str(schema))
+        assert (code, out) == (1, "")
+        assert err == f"data error: schema {schema}, line 1: byte 0xe9 is not UTF-8\n"
+
     def test_pc_omitted_for_berkeley(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "pcc,pc")
         assert code == 0

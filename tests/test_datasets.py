@@ -1,4 +1,5 @@
 import csv
+import re
 from importlib import resources
 
 import numpy as np
@@ -18,7 +19,7 @@ from directcorr.datasets import (
     load_schema,
     titanic_counts,
 )
-from directcorr.errors import EmptyAfterFiltering, MissingColumn, UnknownCategory
+from directcorr.errors import DataError, EmptyAfterFiltering, MissingColumn, UnknownCategory
 from conftest import data_file
 
 
@@ -375,8 +376,28 @@ class TestSchemas:
         assert load_schema(str(path)) == load_schema("titanic")
 
     def test_unknown_canned_schema(self):
-        with pytest.raises(FileNotFoundError):
+        """Neither a canned name nor a file: one message names both readings."""
+        with pytest.raises(FileNotFoundError, match=r"^no canned schema named 'nonexistent' "
+                                                     r"\(titanic, adult, berkeley\) and no such file$"):
             load_schema("nonexistent")
+
+    @pytest.mark.parametrize("name", ["custom.txt", "custom", "custom.JSON"])
+    def test_schema_path_read_whatever_its_suffix(self, tmp_path, name):
+        text = (resources.files("directcorr") / "schemas" / "titanic.json").read_text(encoding="utf-8")
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert load_schema(str(path)) == load_schema("titanic")
+
+    def test_canned_name_read_before_a_file_of_that_name(self, tmp_path, monkeypatch):
+        (tmp_path / "titanic").write_text("not a schema", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_schema("titanic").name == "titanic"
+
+    def test_schema_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{\n "name": "g\xe9n"\n}\n')
+        with pytest.raises(DataError, match=rf"^schema {re.escape(str(path))}, line 2: byte 0xe9 is not UTF-8$"):
+            load_schema(str(path))
 
     def test_builtin_dataset_flags(self):
         assert not dataset_from_builtin("berkeley").pc_allowed

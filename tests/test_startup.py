@@ -1,0 +1,71 @@
+"""What every CLI call pays before and after its command runs.
+
+A call is short, so interpreter start-up and exit are a large part of it:
+importing the package must not pull in modules only some commands use, the
+records that only hold values are named tuples (a class statement, not a
+generated ``__init__``, ``__repr__`` and ``__eq__`` per class), and the
+process entry freezes the import-time heap so no collection walks it again.
+"""
+
+import dataclasses
+import gc
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import directcorr
+from directcorr.cli import main
+from directcorr.resampling import CiReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter that imports the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_import_leaves_out_random_masked_arrays_and_hashlib():
+    """``numpy.random`` pulls in ``secrets`` and ``hashlib``; only the bootstrap needs it, and imports it late."""
+    modules = ("numpy.random", "numpy.ma", "hashlib")
+    code = f"import sys, directcorr.cli; print([m for m in {modules!r} if m in sys.modules])"
+    assert fresh(code)[-1] == "[]"
+
+
+def test_every_dataclass_checks_its_fields():
+    """A record that checks nothing on construction is a ``NamedTuple``, not a dataclass."""
+    unchecked = []
+    for info in pkgutil.iter_modules(directcorr.__path__):
+        module = importlib.import_module(f"directcorr.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                if "__post_init__" not in vars(obj):
+                    unchecked.append(f"{module.__name__}.{obj.__name__}")
+    assert not unchecked
+
+
+def test_record_repr_names_its_fields():
+    ci = CiReport("rmi", 0.25, 0.125, 0.5, 1000, 7, "rng", 0)
+    assert repr(ci) == ("CiReport(measure='rmi', point=0.25, lower=0.125, upper=0.5, b_resamples=1000, seed=7, "
+                        "rng='rng', n_excluded=0)")
+    assert ci._replace(n_excluded=60).too_many_excluded and not ci.too_many_excluded
+
+
+def test_process_entry_freezes_the_heap():
+    code = ("import gc, sys; from directcorr.cli import main; before = gc.get_freeze_count(); "
+            "sys.argv = ['directcorr', 'analyze', '--builtin', 'berkeley', '--measures', 'rmi']; "
+            "assert main() == 0; print(before, gc.get_freeze_count())")
+    before, after = map(int, fresh(code)[-1].split())
+    assert before == 0 and after > 0
+
+
+def test_in_process_call_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["analyze", "--builtin", "berkeley", "--measures", "rmi"]) == 0
+    assert gc.get_freeze_count() == before
