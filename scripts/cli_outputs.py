@@ -13,20 +13,32 @@ by running this script once against each and diffing the directories:
     PYTHONPATH=new/src python scripts/cli_outputs.py /tmp/new
     diff -r /tmp/old /tmp/new
 
+With ``--update`` instead of OUTDIR it runs the same commands in a
+temporary directory and rewrites ``tests/cli_records.json``: per command,
+its argv, its exit code, and the sha256 of its stdout, of its stderr and of
+each file it writes.  ``tests/test_cli_records.py`` runs every command
+in-process and compares it with that file, so a change to an output shows
+in the test suite; a change made on purpose is recorded with
+
+    PYTHONPATH=src python scripts/cli_outputs.py --update
+
 Standard library and numpy only; the package never imports this script.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 SEED = 20260419
+RECORDS = Path(__file__).resolve().parent.parent / "tests" / "cli_records.json"
 
 # The benchmark's sweep: every registry id except pc, on 201 points under rule c.
 SWEEP_IDS = (
@@ -144,6 +156,9 @@ COMMANDS = [
     # a schema file read by path whatever its suffix, and one that is not UTF-8
     ["analyze", "--csv", "gen442.csv", "--schema", "gen442.txt", "--measures", "rmi"],
     ["analyze", "--csv", "gen442.csv", "--schema", "gen442_latin1.json", "--measures", "rmi"],
+    # a schema path that is a directory, and a seed numpy cannot take
+    ["analyze", "--csv", "gen442.csv", "--schema", "csv_dir"],
+    ["bootstrap", "--builtin", "titanic", "--seed", "-1"],
 ]
 
 
@@ -230,7 +245,45 @@ def write_inputs(out: Path) -> None:
     _write(out / "titanic_long_field.csv", f"Pclass,Survived,Sex\n1,0,male\n3,0,{'m' * 140_000}\n")
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(cmd: list[str], code: int, stdout: str, stderr: str, out: Path) -> dict:
+    """The entry of ``tests/cli_records.json`` for one command run in ``out``."""
+    written = [cmd[cmd.index("--output") + 1]] if "--output" in cmd else []
+    return {
+        "argv": cmd,
+        "exit": code,
+        "stdout": _sha(stdout.encode()),
+        "stderr": _sha(stderr.encode()),
+        "files": {name: _sha((out / name).read_bytes()) for name in written if (out / name).exists()},
+    }
+
+
+def run_all(out: Path) -> list[dict]:
+    """Write the inputs into the empty ``out``, run every command there, and write each one's NN_name.txt."""
+    write_inputs(out)
+    env = {**os.environ, "DIRECTCORR_DATA": "data"}  # no data files: reproduce uses the embedded tables
+    if env.get("PYTHONPATH"):  # the commands run in OUTDIR: a relative entry is resolved where it was given
+        env["PYTHONPATH"] = os.pathsep.join(str(Path(p).resolve()) for p in env["PYTHONPATH"].split(os.pathsep) if p)
+    records = []
+    for i, cmd in enumerate(COMMANDS):
+        proc = subprocess.run([sys.executable, "-m", "directcorr.cli", *cmd], cwd=out, env=env,
+                              capture_output=True, text=True)
+        text = f"argv: {' '.join(cmd)}\nexit: {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        _write(out / f"{i:02d}_{cmd[0]}.txt", text)
+        records.append(record(cmd, proc.returncode, proc.stdout, proc.stderr, out))
+    return records
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--update"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            records = run_all(Path(tmp))
+        RECORDS.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
+        print(f"{len(records)} records written to {RECORDS}")
+        return 0
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
@@ -239,15 +292,7 @@ def main(argv: list[str]) -> int:
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    write_inputs(out)
-    env = {**os.environ, "DIRECTCORR_DATA": "data"}  # no data files: reproduce uses the embedded tables
-    if env.get("PYTHONPATH"):  # the commands run in OUTDIR: a relative entry is resolved where it was given
-        env["PYTHONPATH"] = os.pathsep.join(str(Path(p).resolve()) for p in env["PYTHONPATH"].split(os.pathsep) if p)
-    for i, cmd in enumerate(COMMANDS):
-        proc = subprocess.run([sys.executable, "-m", "directcorr.cli", *cmd], cwd=out, env=env,
-                              capture_output=True, text=True)
-        record = f"argv: {' '.join(cmd)}\nexit: {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
-        _write(out / f"{i:02d}_{cmd[0]}.txt", record)
+    run_all(out)
     print(f"{len(COMMANDS)} commands recorded in {out}")
     return 0
 

@@ -22,9 +22,8 @@ from .bounds import (
 )
 from .datasets import (
     DatasetSchema,
-    builtin_berkeley,
-    builtin_titanic,
-    load_csv,
+    dataset_from_builtin,
+    load_csv_report,
     load_schema,
 )
 from .errors import DirectCorrError
@@ -39,12 +38,7 @@ from .prob import (
     Alphabet,
     Joint3,
     ObservationTable,
-    entropy,
     from_counts,
-    js_divergence,
-    kl_divergence,
-    sqrt_js,
-    total_variation,
 )
 from .registry import (
     MEASURES,

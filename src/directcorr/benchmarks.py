@@ -7,9 +7,9 @@ jitter), CI endpoints to within 0.02 (resampling-stream differences).
 
 Two bound cells per dataset (rpmi and ricmi_yx) are reproduced only
 approximately by this implementation; see the known deviations in
-README.md ("Tests and the acceptance gate") and item 4 of ROADMAP.md for
-what has been ruled out.  They are still compared at the standard
-tolerance and reported honestly.
+README.md ("Tests and the acceptance gate") and the ROADMAP.md item "Red
+columns: a scorer, and a decision" for what has been ruled out.  They are
+still compared at the standard tolerance and reported honestly.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .models import (
     fig5_corpus,
     simple_model_joint,
 )
+from .prob import ObservationTable
 from .registry import (
     TABLE_MEASURES,
     NumericEncoding,
@@ -103,6 +104,19 @@ def _resolve_dataset(args) -> Dataset:
     raise ValueError("one of --builtin or --csv is required")
 
 
+def _observations(ds: Dataset) -> ObservationTable:
+    """The dataset's count table, which a bootstrap resamples."""
+    if ds.observations is None:
+        raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
+    return ds.observations
+
+
+def _print_caveat(measures) -> None:
+    """The back-door caveat, on stderr, when a do-family measure is among ``measures``."""
+    if any(get_measure(m).do_family for m in measures):
+        print(BACKDOOR_CAVEAT, file=sys.stderr)
+
+
 def _point_values(ds: Dataset, measures, strategy: SparseStrategy) -> tuple[dict[str, float], dict[str, str]]:
     """The value of each measure on the dataset, and why each undefined one has none.
 
@@ -129,12 +143,8 @@ def _interval(ci: CiReport) -> tuple[tuple[float, float] | None, str]:
 
 def _build_report(ds: Dataset, measures, strategy, bootstrap_b, seed, with_bounds, cap) -> MeasureReport:
     strategy = SparseStrategy.parse(strategy)
-    if bootstrap_b and ds.observations is None:
-        raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
     values, undefined = _point_values(ds, measures, strategy)
-    cis = {}
-    if bootstrap_b:
-        cis = bootstrap_cis(ds.observations, values, bootstrap_b, seed, strategy, ds.encoding)
+    cis = bootstrap_cis(_observations(ds), values, bootstrap_b, seed, strategy, ds.encoding) if bootstrap_b else {}
     wanted = {m: v for m, v in values.items() if m in BOUND_MEASURES} if with_bounds else {}
     bounds = achievable_bounds(ds.joint, wanted, strategy, cap) if wanted else {}
     entries = []
@@ -170,8 +180,7 @@ def cmd_analyze(args) -> int:
     ds = _resolve_dataset(args)
     measures = _parse_measures(args.measures)
     report = _build_report(ds, measures, args.strategy, args.bootstrap, args.seed, args.bounds, args.cap)
-    if any(get_measure(m).do_family for m in measures):
-        print(BACKDOOR_CAVEAT, file=sys.stderr)
+    _print_caveat(measures)
     if args.format:
         text = to_csv([report]) if args.format == "csv" else to_json([report])
         Path(args.output).write_text(text, encoding="utf-8")
@@ -203,14 +212,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     ds = _resolve_dataset(args)
-    if ds.observations is None:
-        raise DirectCorrError(f"dataset {ds.name!r} has no observation-level records to resample")
+    obs = _observations(ds)
     measures = _parse_measures(args.measures)
     strategy = SparseStrategy.parse(args.strategy)
     values, undefined = _point_values(ds, measures, strategy)
-    cis = bootstrap_cis(ds.observations, values, args.bootstrap, args.seed, strategy, ds.encoding)
-    if any(get_measure(m).do_family for m in measures):
-        print(BACKDOOR_CAVEAT, file=sys.stderr)
+    cis = bootstrap_cis(obs, values, args.bootstrap, args.seed, strategy, ds.encoding)
+    _print_caveat(measures)
     print(f"dataset: {ds.name} (B={args.bootstrap}, seed={args.seed}, rng={RNG_ID})")
     for m in measures:
         if m in cis:
@@ -405,6 +412,8 @@ def main(argv=None) -> int:
         gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy's RNG streams take non-negative seeds only
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

@@ -49,7 +49,7 @@ def data_dir() -> Path:
 # ---------------------------------------------------------------------------
 
 # Berkeley 1973 graduate admissions, six largest departments.
-# X = applicant sex, Y = admission outcome, Z = department.
+# X = applicant sex (female, male), Y = admission outcome (rejected, admitted), Z = department.
 _BERKELEY_ADMITTED = {  # dept -> (male admitted, male total, female admitted, female total)
     "A": (512, 825, 89, 108),
     "B": (353, 560, 17, 25),
@@ -58,12 +58,6 @@ _BERKELEY_ADMITTED = {  # dept -> (male admitted, male total, female admitted, f
     "E": (53, 191, 94, 393),
     "F": (22, 373, 24, 341),
 }
-
-BERKELEY_ALPHABETS = (
-    Alphabet(("female", "male")),
-    Alphabet(("rejected", "admitted")),
-    Alphabet(tuple("ABCDEF")),
-)
 
 
 def berkeley_counts() -> np.ndarray:
@@ -75,11 +69,6 @@ def berkeley_counts() -> np.ndarray:
         counts[0, 1, zi] = f_adm
         counts[0, 0, zi] = f_tot - f_adm
     return counts
-
-
-def builtin_berkeley() -> Joint3:
-    """Exact embedded Berkeley admissions joint (n = 4526)."""
-    return dataset_from_builtin("berkeley").joint
 
 
 # Titanic training split (n = 891): survivors / totals by class and sex.
@@ -108,11 +97,6 @@ def titanic_counts() -> np.ndarray:
         counts[xi, 1, zi] = survived
         counts[xi, 0, zi] = total - survived
     return counts
-
-
-def builtin_titanic() -> Joint3:
-    """Embedded Titanic class/survival/sex joint (n = 891)."""
-    return dataset_from_builtin("titanic").joint
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +237,9 @@ def _not_utf8(where: str, exc: UnicodeDecodeError) -> DataError:
 def load_schema(name_or_path: str) -> DatasetSchema:
     """A canned schema by name (titanic, adult, berkeley), else a schema JSON by path, whatever its suffix.
 
-    A byte-order mark is dropped; a file that is not UTF-8 raises ``DataError``
-    naming it and the line of its first bad byte.
+    A byte-order mark is dropped.  A file that is not UTF-8 raises ``DataError``
+    naming it and the line of its first bad byte; a path that cannot be read,
+    such as a directory, raises ``DataError`` naming it as the schema.
     """
     if name_or_path in CANNED_SCHEMAS:
         path = resources.files("directcorr") / "schemas" / f"{name_or_path}.json"
@@ -268,6 +253,8 @@ def load_schema(name_or_path: str) -> DatasetSchema:
         text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(f"schema {name_or_path}", exc) from None
+    except OSError as exc:
+        raise DataError(f"schema {name_or_path}: {exc.strerror}") from None
     return schema_from_json(text)
 
 
@@ -374,10 +361,6 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
         raise EmptyAfterFiltering(f"{path}: no usable rows for schema {schema.name!r}")
     table = ObservationTable(alphabets, np.array(tally, dtype=np.int64).reshape(shape))
     return LoadReport(table=table, n_rows=n_rows, n_skipped=n_skipped, skipped_examples=tuple(examples))
-
-
-def load_csv(path: str | os.PathLike, schema: DatasetSchema) -> ObservationTable:
-    return load_csv_report(path, schema).table
 
 
 # ---------------------------------------------------------------------------

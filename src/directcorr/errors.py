@@ -10,7 +10,7 @@ class InvalidDistribution(DirectCorrError, ValueError):
 
 
 class ShapeMismatch(DirectCorrError, ValueError):
-    """Two distributions passed to a divergence have different shapes."""
+    """A stack of candidate tables does not have the shape of the joint it is scored against."""
 
 
 class DataError(DirectCorrError, ValueError):

@@ -10,8 +10,7 @@ Conventions used throughout the package:
   first, so downstream measures can report singularity explicitly;
 * entropy and the divergences are computed row-wise over a leading stack
   axis (``_entropy_rows``, ``_kl_rows``, ``_js_rows``, ``_tv_rows``, used by
-  the measure engine); the scalar functions are the one-row case of the
-  same code;
+  the measure engine and the bounds);
 * every table is an immutable value object and every operation is pure,
   so everything here is safe to share across threads.
 
@@ -20,21 +19,19 @@ probability table; a marginal is a plain sum of its ``probs`` over the
 other axes.  ``ObservationTable`` stores observed triples as their table of
 integer counts, their sufficient statistic, in one int64 per cell whatever
 the number of observations; it is the one place counts are checked and
-normalized.  The divergences and entropy also accept plain arrays, checked
-as ``Joint3`` checks its table.
+normalized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     InvalidDistribution,
-    ShapeMismatch,
     UnknownCategory,
     ZeroTotal,
 )
@@ -113,13 +110,6 @@ class Joint3:
         return self.probs.shape  # type: ignore[return-value]
 
 
-Distribution = Union[Joint3, np.ndarray]
-
-
-def _probs_of(d: Distribution) -> np.ndarray:
-    return np.asarray(getattr(d, "probs", d), dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationTable:
     """Observed categorical triples (x, y, z) as a (d_X, d_Y, d_Z) table of integer counts."""
@@ -178,18 +168,6 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p + (p == 0))).sum(axis=_axes(p))
 
 
-def entropy(d: Distribution) -> float:
-    """Shannon entropy in bits."""
-    return float(_entropy_rows(_checked_probs(_probs_of(d))[None])[0])
-
-
-def _pair(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    pa, qa = _probs_of(p), _probs_of(q)
-    if pa.shape != qa.shape:
-        raise ShapeMismatch(f"shapes differ: {pa.shape} vs {qa.shape}")
-    return _checked_probs(pa), _checked_probs(qa)
-
-
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(p || q) in bits per leading-axis row; inf where q misses the support of p."""
     axes = _axes(p)
@@ -202,12 +180,6 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     pad = ~pos | empty
     terms = p * (np.log2(p + pad) - np.log2(q + pad))
     return np.where((pos & empty).any(axis=axes), math.inf, terms.sum(axis=axes))
-
-
-def kl_divergence(p: Distribution, q: Distribution) -> float:
-    """Kullback-Leibler divergence D(p || q) in bits; inf when q misses the support of p."""
-    pa, qa = _pair(p, q)
-    return float(_kl_rows(pa[None], qa[None])[0])
 
 
 def _js_nat_terms(a: np.ndarray, other: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -247,23 +219,6 @@ def _js_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray | None = None) ->
     return np.minimum(np.maximum((tp.sum(axis=axes) + tq.sum(axis=axes)) / (2.0 * LN2), 0.0), 1.0)
 
 
-def js_divergence(p: Distribution, q: Distribution) -> float:
-    """Jensen-Shannon divergence in bits, always in [0, 1]."""
-    pa, qa = _pair(p, q)
-    return float(_js_rows(pa[None], qa[None])[0])
-
-
-def sqrt_js(p: Distribution, q: Distribution) -> float:
-    """Square root of the Jensen-Shannon divergence: a bounded metric in [0, 1]."""
-    return math.sqrt(js_divergence(p, q))
-
-
 def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total variation distance per leading-axis row."""
     return 0.5 * np.abs(p - q).sum(axis=_axes(p))
-
-
-def total_variation(p: Distribution, q: Distribution) -> float:
-    """Total variation distance, in [0, 1]."""
-    pa, qa = _pair(p, q)
-    return float(_tv_rows(pa[None], qa[None])[0])

@@ -109,21 +109,20 @@ def bootstrap_cis(
     for m in points:
         values = np.concatenate(chunks[m])
         kept = values[~np.isnan(values)]
-        excluded = b_resamples - kept.size
-        if excluded > MAX_EXCLUDED_FRACTION * b_resamples:
-            lo = hi = math.nan
-        else:
-            lo, hi = _percentile_pair(kept, kept.size)
-        out[m] = CiReport(
+        ci = CiReport(
             measure=m,
             point=points[m],
-            lower=lo,
-            upper=hi,
+            lower=math.nan,
+            upper=math.nan,
             b_resamples=b_resamples,
             seed=seed,
             rng=RNG_ID,
-            n_excluded=excluded,
+            n_excluded=b_resamples - kept.size,
         )
+        if not ci.too_many_excluded:
+            lower, upper = _percentile_pair(kept, kept.size)
+            ci = ci._replace(lower=lower, upper=upper)
+        out[m] = ci
     return out
 
 

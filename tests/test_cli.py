@@ -114,8 +114,11 @@ def test_usage_error_exit_2(capsys, argv):
         # one dataset source per call, not the built-in resolved and the CSV ignored
         (("bounds", "--builtin", "titanic", "--csv", "x.csv", "--schema", "titanic"),
          "argument --csv: not allowed with argument --builtin"),
+        # numpy's RNG streams take no negative seed
+        (("bootstrap", "--builtin", "titanic", "--seed", "-1"), "argument --seed: must be a non-negative integer, got -1"),
     ],
-    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap", "invalid-strategy", "builtin-and-csv"],
+    ids=["sweep-seed", "sweep-cap", "bounds-seed", "bootstrap-cap", "invalid-strategy", "builtin-and-csv",
+         "negative-seed"],
 )
 def test_flag_the_command_does_not_read_rejected(capsys, argv, message):
     """Argparse's own errors are one ``error:`` line too, with exit 2."""

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from directcorr.datasets import (
-    BERKELEY_ALPHABETS,
     TITANIC_ALPHABETS,
     ColumnSpec,
     DatasetSchema,
     berkeley_counts,
-    builtin_berkeley,
-    builtin_titanic,
     dataset_from_builtin,
-    load_csv,
     load_csv_report,
     load_schema,
     titanic_counts,
 )
 from directcorr.errors import DataError, EmptyAfterFiltering, MissingColumn, UnknownCategory
+from directcorr.prob import Alphabet
 from conftest import data_file
 
 
@@ -47,9 +44,9 @@ class TestBerkeleyBuiltin:
         assert counts[1, 1, 5] / counts[1, :, 5].sum() == pytest.approx(0.059, abs=5e-4)
 
     def test_joint_cell(self):
-        j = builtin_berkeley()
-        xi = BERKELEY_ALPHABETS[0].index("male")
-        yi = BERKELEY_ALPHABETS[1].index("admitted")
+        j = dataset_from_builtin("berkeley").joint
+        xi = j.alphabets[0].index("male")
+        yi = j.alphabets[1].index("admitted")
         assert j.probs[xi, yi, 0] == pytest.approx(512 / 4526, abs=1e-15)
 
     def test_observations_match_counts(self):
@@ -65,7 +62,7 @@ class TestTitanicBuiltin:
         assert counts[:, 1, :].sum() == 342
 
     def test_survival_marginal(self):
-        j = builtin_titanic()
+        j = dataset_from_builtin("titanic").joint
         assert j.probs.sum(axis=(0, 2))[1] == pytest.approx(342 / 891, abs=1e-15)
 
     def test_all_cells_nonzero(self):
@@ -136,7 +133,7 @@ class TestLoadCsv:
         assert report.n_rows == 891
         assert report.n_skipped == 0
         assert np.array_equal(report.table.counts(), titanic_counts())
-        assert np.allclose(report.table.joint().probs, builtin_titanic().probs, atol=1e-15)
+        assert np.allclose(report.table.joint().probs, dataset_from_builtin("titanic").joint.probs, atol=1e-15)
 
     def test_byte_order_mark_dropped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a BOM, here right before
@@ -147,21 +144,22 @@ class TestLoadCsv:
         marked.write_text(rows, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
         schema = load_schema("titanic")
-        assert np.array_equal(load_csv(marked, schema).counts(), load_csv(plain, schema).counts())
-        assert load_csv(plain, schema).n == 4
+        marked_counts = load_csv_report(marked, schema).table.counts()
+        assert np.array_equal(marked_counts, load_csv_report(plain, schema).table.counts())
+        assert load_csv_report(plain, schema).table.n == 4
 
     def test_deterministic(self, tmp_path):
         csv_path = synthesize_titanic_csv(tmp_path / "titanic.csv")
         schema = load_schema("titanic")
-        a = load_csv(csv_path, schema)
-        b = load_csv(csv_path, schema)
+        a = load_csv_report(csv_path, schema).table
+        b = load_csv_report(csv_path, schema).table
         assert np.array_equal(a.counts(), b.counts())
 
     def test_adult_raw_format(self, tmp_path):
         path = tmp_path / "adult.data"
         path.write_text(ADULT_SAMPLE, encoding="utf-8")
         schema = load_schema("adult")
-        table = load_csv(path, schema)
+        table = load_csv_report(path, schema).table
         assert table.n == 5
         counts = table.counts()
         x, y, z = table.alphabets
@@ -174,13 +172,13 @@ class TestLoadCsv:
         path = tmp_path / "nothing.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(EmptyAfterFiltering):
-            load_csv(path, load_schema("titanic"))
+            load_csv_report(path, load_schema("titanic"))
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("A,B\n1,2\n", encoding="utf-8")
         with pytest.raises(MissingColumn):
-            load_csv(path, load_schema("titanic"))
+            load_csv_report(path, load_schema("titanic"))
 
     def test_unmapped_rows_skipped_and_counted(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -210,17 +208,17 @@ class TestLoadCsv:
             has_header=True, on_unmapped="error",
         )
         with pytest.raises(UnknownCategory):
-            load_csv(path, strict)
+            load_csv_report(path, strict)
 
     def test_all_rows_unusable(self, tmp_path):
         path = tmp_path / "allbad.csv"
         path.write_text("Pclass,Survived,Sex\n9,9,cat\n", encoding="utf-8")
         with pytest.raises(EmptyAfterFiltering):
-            load_csv(path, load_schema("titanic"))
+            load_csv_report(path, load_schema("titanic"))
 
     def test_joint_marginals_match_column_frequencies(self, tmp_path):
         csv_path = synthesize_titanic_csv(tmp_path / "titanic.csv")
-        table = load_csv(csv_path, load_schema("titanic"))
+        table = load_csv_report(csv_path, load_schema("titanic")).table
         j = table.joint()
         with open(csv_path, newline="", encoding="utf-8") as fh:
             pclass = [row["Pclass"] for row in csv.DictReader(fh)]
@@ -350,7 +348,8 @@ class TestSchemas:
         assert not load_schema("berkeley").pc_allowed  # departments are unordered
 
     def test_builtin_alphabets_are_the_canned_schemas(self):
-        assert load_schema("berkeley").alphabets() == BERKELEY_ALPHABETS
+        berkeley = (Alphabet(("female", "male")), Alphabet(("rejected", "admitted")), Alphabet(tuple("ABCDEF")))
+        assert load_schema("berkeley").alphabets() == berkeley
         assert load_schema("titanic").alphabets() == TITANIC_ALPHABETS
 
     def test_distinct_columns_required(self):
@@ -399,6 +398,11 @@ class TestSchemas:
         with pytest.raises(DataError, match=rf"^schema {re.escape(str(path))}, line 2: byte 0xe9 is not UTF-8$"):
             load_schema(str(path))
 
+    def test_schema_directory_names_the_schema(self, tmp_path):
+        """A directory given as the schema is a ``DataError`` that says it was read as the schema."""
+        with pytest.raises(DataError, match=rf"^schema {re.escape(str(tmp_path))}: "):
+            load_schema(str(tmp_path))
+
     def test_builtin_dataset_flags(self):
         assert not dataset_from_builtin("berkeley").pc_allowed
         assert dataset_from_builtin("titanic").pc_allowed
@@ -408,14 +412,14 @@ class TestSchemas:
 
 @pytest.mark.skipif(data_file("titanic.csv") is None, reason="titanic.csv not fetched")
 def test_real_titanic_file_matches_embedded_counts():
-    table = load_csv(data_file("titanic.csv"), load_schema("titanic"))
+    table = load_csv_report(data_file("titanic.csv"), load_schema("titanic")).table
     assert table.n == 891
     assert np.array_equal(table.counts(), titanic_counts())
 
 
 @pytest.mark.skipif(data_file("adult.data") is None, reason="adult.data not fetched")
 def test_real_adult_file_shape_and_marginals():
-    table = load_csv(data_file("adult.data"), load_schema("adult"))
+    table = load_csv_report(data_file("adult.data"), load_schema("adult")).table
     assert table.n == 32561
     counts = table.counts()
     assert counts.min() >= 23  # every cell of the empirical joint is occupied
