@@ -159,6 +159,11 @@ COMMANDS = [
     # a schema path that is a directory, and a seed numpy cannot take
     ["analyze", "--csv", "gen442.csv", "--schema", "csv_dir"],
     ["bootstrap", "--builtin", "titanic", "--seed", "-1"],
+    # a full-support 5x2x5 table: a searched family of 2^25 couplings, past the default cap
+    ["bounds", "--csv", "gen525.csv", "--schema", "gen525.json", "--cap", str(2**26)],
+    # a 600-point grid, with pc undefined at 432 points for two reasons
+    ["sweep", "--model", "decision", "--set", "q1=-1", "--set", "q2=-1", "--set", "q3=0.5", "--set", "q4=0",
+     "--sweep", "q0", "--start", "-1", "--points", "600", "--measures", "pcc,pc,ricmi_two,nace"],
 ]
 
 
@@ -243,6 +248,14 @@ def write_inputs(out: Path) -> None:
     (out / "csv_dir").mkdir()
     _write(out / "titanic_latin1.csv", "Pclass,Survived,Sex\n1,0,male\n2,1,fémale\n", "latin-1")
     _write(out / "titanic_long_field.csv", f"Pclass,Survived,Sex\n1,0,male\n3,0,{'m' * 140_000}\n")
+    # a 5x2x5 table with every cell occupied
+    wide = {**json.loads(json.dumps(GEN442)), "name": "gen525"}
+    wide["roles"]["x"]["categories"], wide["roles"]["z"]["categories"] = list("abcde"), list("pqrst")
+    counts = 1 + rng.multinomial(2000 - 50, rng.dirichlet(np.full(50, 2.0))).reshape(5, 2, 5)
+    labels = [wide["roles"][r]["categories"] for r in "xyz"]
+    rows = (f"{labels[0][x]},{labels[1][y]},{labels[2][z]}" for (x, y, z), k in np.ndenumerate(counts) for _ in range(k))
+    _write(out / "gen525.csv", _csv("gx,gy,gz", rows))
+    _write(out / "gen525.json", json.dumps(wide, indent=1) + "\n")
 
 
 def _sha(data: bytes) -> str:

@@ -106,9 +106,10 @@ those reaching it, the one full enumeration names.  Couplings that tie in
 exact arithmetic may differ in the last bit, so the named argmax attains
 the printed maximum but is not a fixed one.  A set is never built whole:
 it is decoded a chunk at a time into stacks of at most
-``engine.STACK_CELLS`` table cells, which keeps each temporary in cache,
-and position ranges decode apart, so a set can be split across workers
-and the parts' picks reduced by the same rule.
+``engine.STACK_CELLS`` table cells, so the temporaries one engine step
+keeps live fit in a core's L2 cache, and position ranges decode apart, so
+a set can be split across workers and the parts' picks reduced by the
+same rule.  The search bounds its nodes in steps sized from the same budget.
 """
 
 from __future__ import annotations
@@ -435,7 +436,8 @@ class _Search:
         """
         b = np.arange(min(int((reach + MASS_EPS) * MASS_BINS) + 2, rest.shape[1]))
         out = np.empty(len(t))
-        step = max(1, STACK_CELLS // (16 * acc.shape[1] * len(b)))  # its dozen temporaries make about one stack
+        # a quarter stack per temporary: its dozen temporaries stay under one engine step's live bytes
+        step = max(1, STACK_CELLS // (4 * acc.shape[1] * len(b)))
         for i in range(0, len(t), step):
             rows = slice(i, i + step)
             t0 = t[rows, None] + (b - MASS_EPS) / MASS_BINS  # (m, bins): the interval of t per bin

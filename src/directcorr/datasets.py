@@ -296,7 +296,9 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
     skipped under either policy, and a blank line is not a row.  A UTF-8
     byte-order mark (as Excel writes one) is dropped from the header.  A file
     that is not UTF-8, or that the csv module cannot parse (a field past its
-    131,072 characters), raises ``DataError`` naming the file and line.
+    131,072 characters), raises ``DataError`` naming the file and line; a path
+    that cannot be opened, such as a directory, raises ``DataError`` naming it
+    as the csv.
     """
     alphabets = schema.alphabets()
     shape = tuple(a.size for a in alphabets)
@@ -318,7 +320,11 @@ def load_csv_report(path: str | os.PathLike, schema: DatasetSchema) -> LoadRepor
             cell = cell * d + i
         return cell
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"csv {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader, None) if schema.has_header else None

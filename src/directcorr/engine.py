@@ -2,10 +2,10 @@
 
 The input is a stack of joint tables of shape (n, d_X, d_Y, d_Z), and
 every candidate along the leading axis is evaluated with its own
-marginals.  ``registry.evaluate`` is the stack-of-1 call, the bootstrap
-evaluates all of its resamples as one stack, the achievable bounds
-evaluate each chunk of deterministic couplings as one stack, and the CLI's
-``sweep`` evaluates its whole grid of model joints as one stack.  What several
+marginals.  ``registry.evaluate`` is the stack-of-1 call; the bootstrap's
+resamples and the achievable bounds' deterministic couplings are evaluated
+in stacks of at most ``STACK_CELLS`` table cells, and the CLI's ``sweep``
+evaluates its whole grid of model joints as one stack.  What several
 measures share (marginals, the filled conditionals, the do-rows, and each
 measure's own values, so ricmi_two reuses both ICMI directions) is computed
 lazily and at most once per stack; a reconstruction that serves a single
@@ -46,8 +46,12 @@ from .prob import _entropy_rows, _js_rows, _kl_rows, _tv_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 # Table cells per engine call when a long stack (bootstrap resamples, bound
-# candidates) is evaluated in chunks: keeps each temporary in cache.
-STACK_CELLS = 2**14
+# candidates) is evaluated in chunks.  The budget counts one
+# stack-sized temporary, and a step keeps about 17 of them live (the
+# marginals, both conditionals, a reconstruction and its JS terms), so 2^12
+# cells hold a step near 550 KB, inside a core's L2 cache.  Rows never
+# interact, so the size changes no value.
+STACK_CELLS = 2**12
 
 DEGENERATE = "a variable is constant under its encoding; PCC undefined"
 SINGULAR = "a conditioning correlation has magnitude 1; PC undefined"

@@ -253,6 +253,12 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == f"data error: schema {schema}, line 1: byte 0xe9 is not UTF-8\n"
 
+    def test_csv_directory_names_the_csv(self, capsys, tmp_path):
+        path = tmp_path / "csv_dir"
+        path.mkdir()
+        code, out, err = run(capsys, "analyze", "--csv", str(path), "--schema", "titanic")
+        assert (code, out, err) == (1, "", f"data error: csv {path}: Is a directory\n")
+
     def test_pc_omitted_for_berkeley(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "berkeley", "--measures", "pcc,pc")
         assert code == 0

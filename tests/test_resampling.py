@@ -162,6 +162,15 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_cis(obs, {}, 1, seed=4)
 
+    @pytest.mark.parametrize("name", ["titanic", "berkeley"])
+    def test_stack_size_changes_no_ci(self, monkeypatch, name):
+        # rows never interact: resamples evaluated a few tables at a time give the same CIs
+        ds = dataset_from_builtin(name)
+        points = {m: evaluate(ds.joint, m, "b", ds.encoding) for m in MEASURES}
+        default = bootstrap_cis(ds.observations, points, 200, seed=3, enc=ds.encoding)
+        monkeypatch.setattr("directcorr.resampling.STACK_CELLS", 48)
+        assert repr(bootstrap_cis(ds.observations, points, 200, seed=3, enc=ds.encoding)) == repr(default)
+
     def test_constant_dataset_zero_width(self):
         t = table_from_counts([[[10, 0], [0, 0]], [[0, 0], [0, 0]]])
         r = bootstrap_ci(t, "rmi", 50, seed=0)
