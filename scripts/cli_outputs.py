@@ -164,6 +164,9 @@ COMMANDS = [
     # a 600-point grid, with pc undefined at 432 points for two reasons
     ["sweep", "--model", "decision", "--set", "q1=-1", "--set", "q2=-1", "--set", "q3=0.5", "--set", "q4=0",
      "--sweep", "q0", "--start", "-1", "--points", "600", "--measures", "pcc,pc,ricmi_two,nace"],
+    # a parameter set twice, and one set to a value that is not a number
+    ["sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam0=0.2", "--sweep", "lam1"],
+    ["sweep", "--model", "simple", "--set", "lam0=abc", "--sweep", "lam1"],
 ]
 
 

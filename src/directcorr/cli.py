@@ -10,8 +10,15 @@ script, so ``main`` gets no argv), ``main`` calls ``gc.freeze()`` before it
 parses.  The objects numpy and the package make at import live until exit
 anyway; frozen, they are left out of every collection, the ones at exit
 included, which a short call would otherwise spend a good part of its time
-on.  A caller of ``main(argv)`` in its own process keeps its collector as
-it was.
+on.  It also makes ``hashlib`` use the interpreter's built-in digests:
+``numpy.random``, which every bootstrap imports, pulls in ``secrets``,
+``hmac`` and ``hashlib``, and ``hashlib`` would map OpenSSL's libcrypto
+through ``_hashlib``.  The CLI never hashes, numpy takes only
+``secrets.randbits`` (which reads ``os.urandom``), and the built-in digests
+give the same values, so the entry marks ``_hashlib`` as absent; that keeps
+3.4 MB of resident memory out of each bootstrapping call.  A caller of
+``main(argv)`` in its own process keeps its collector and its ``hashlib``
+as they were.
 """
 
 from __future__ import annotations
@@ -237,7 +244,13 @@ def _sweep_params(args) -> dict[str, float]:
         if "=" not in item:
             raise ValueError(f"--set expects name=value, got {item!r}")
         k, v = item.split("=", 1)
-        fixed[k.strip()] = float(v)
+        k = k.strip()
+        if k in fixed:
+            raise ValueError(f"--set {k} given twice")
+        try:
+            fixed[k] = float(v)
+        except ValueError:
+            raise ValueError(f"--set {k} expects a number, got {v!r}") from None
     return fixed
 
 
@@ -410,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:  # the process entry: see the module docstring
         gc.freeze()
+        sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # numpy's RNG streams take non-negative seeds only

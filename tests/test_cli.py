@@ -543,6 +543,16 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(float(r["value"]) == pytest.approx(0.0, abs=1e-12) for r in rows)
 
+    @pytest.mark.parametrize("sets, message", [
+        # the first value is not dropped for the last one
+        (("lam0=0.5", "lam0=0.2"), "--set lam0 given twice"),
+        (("lam0=abc",), "--set lam0 expects a number, got 'abc'"),
+    ], ids=["set-twice", "set-not-a-number"])
+    def test_bad_set_names_the_parameter(self, capsys, sets, message):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        code, out, err = run(capsys, "sweep", "--model", "simple", *argv, "--sweep", "lam1", "--points", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("strategy", "abc")
     @pytest.mark.parametrize("model, fixed, sweep", [
         ("simple", {"lam0": 0.5}, "lam1"),
