@@ -167,6 +167,13 @@ COMMANDS = [
     # a parameter set twice, and one set to a value that is not a number
     ["sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam0=0.2", "--sweep", "lam1"],
     ["sweep", "--model", "simple", "--set", "lam0=abc", "--sweep", "lam1"],
+    # a 1500-point grid written to a file, three engine stacks long, with pcc undefined at both ends
+    ["sweep", "--model", "decision", "--set", "q1=-1", "--set", "q2=-1", "--set", "q3=0.5", "--set", "q4=0",
+     "--sweep", "q0", "--start", "-1", "--points", "1500", "--measures", "pcc,pc,rpmi,ricmi_two,nace,rmi_do",
+     "--strategy", "c", "--output", "sweep_long.csv"],
+    # a grid that leaves lam1's range part way: no row, and no file
+    ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--start", "0.5", "--stop", "1.5",
+     "--points", "5", "--output", "sweep_range.csv"],
 ]
 
 

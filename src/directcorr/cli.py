@@ -1,31 +1,30 @@
 """Command-line front end: analyze, reproduce, sweep, bounds, bootstrap.
 
 Exit codes: 0 success, 1 data error (an unreadable file, a missing column,
-empty data), 2 usage or computation error or a malformed schema.  Human
-tables go to stdout; --format csv|json writes machine-readable files; stderr
-carries caveats.
+empty data) or a stdout whose reader has gone, 2 usage or computation error
+or a malformed schema.  Human tables go to stdout; --format csv|json writes
+machine-readable files; stderr carries caveats.
 
-Run as the process entry (``python -m directcorr.cli`` or the ``directcorr``
-script, so ``main`` gets no argv), ``main`` calls ``gc.freeze()`` before it
-parses.  The objects numpy and the package make at import live until exit
-anyway; frozen, they are left out of every collection, the ones at exit
-included, which a short call would otherwise spend a good part of its time
-on.  It also makes ``hashlib`` use the interpreter's built-in digests:
+``entry`` is the process entry (``python -m directcorr.cli`` and the
+``directcorr`` script); ``main(argv)`` runs one command and leaves the
+process as it found it.  The entry ends the process with ``os._exit`` once
+stdout and stderr are flushed: a call is short, and the interpreter's
+teardown (collecting and freeing every object numpy and the package made at
+import) would otherwise be a good part of it.  Before the command runs it
+also makes ``hashlib`` use the interpreter's built-in digests:
 ``numpy.random``, which every bootstrap imports, pulls in ``secrets``,
 ``hmac`` and ``hashlib``, and ``hashlib`` would map OpenSSL's libcrypto
 through ``_hashlib``.  The CLI never hashes, numpy takes only
 ``secrets.randbits`` (which reads ``os.urandom``), and the built-in digests
 give the same values, so the entry marks ``_hashlib`` as absent; that keeps
-3.4 MB of resident memory out of each bootstrapping call.  A caller of
-``main(argv)`` in its own process keeps its collector and its ``hashlib``
-as they were.
+3.4 MB of resident memory out of each bootstrapping call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import gc
 import math
 import os
 import sys
@@ -42,7 +41,7 @@ from .datasets import (
     dataset_from_csv,
     load_schema,
 )
-from .engine import PAIR_KERNELS, BatchContext
+from .engine import PAIR_KERNELS, STACK_CELLS, BatchContext
 from .errors import DataError, DirectCorrError, Undefined, UnknownMeasure
 from .models import (
     DecisionParams,
@@ -255,6 +254,7 @@ def _sweep_params(args) -> dict[str, float]:
 
 
 def cmd_sweep(args) -> int:
+    """Write the grid's rows one engine stack at a time; only the notes on undefined values carry over."""
     measures = _parse_measures(args.measures, default=SWEEP_DEFAULT_MEASURES)
     fixed = _sweep_params(args)
     if args.points < 1:
@@ -267,25 +267,36 @@ def cmd_sweep(args) -> int:
     names = sorted(f.name for f in dataclasses.fields(params_type))
     if args.sweep in fixed or sorted({*fixed, args.sweep}) != names:
         raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
-    joints = [model(params_type(**fixed, **{args.sweep: float(value)})) for value in grid]
-    ctx = BatchContext(np.stack([j.probs for j in joints]), args.strategy)
-    values = {m: ctx.value(m) for m in measures}
-    cells = [(float(value), m, float(values[m][i])) for i, value in enumerate(grid) for m in measures]
-    lines = ["param,param_value,measure,value"] + [
-        f"{args.sweep},{v:.6f},{m},{fmt(None if math.isnan(x) else x)}" for v, m, x in cells
-    ]
-    text = "\n".join(lines) + "\n"
+
+    def params(value):
+        return params_type(**fixed, **{args.sweep: float(value)})
+
+    for value in grid:  # a point out of range stops the sweep before any row is written
+        params(value)
+    step = max(1, STACK_CELLS // model(params(grid[0])).probs.size)
+    # an undefined value is empty in its row; per measure undefined somewhere, its note's figures:
+    # the number of points, the first point, and the reasons in order of first occurrence
+    undefined: dict[str, list] = {}
+    with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        out.write("param,param_value,measure,value\n")
+        for lo in range(0, len(grid), step):
+            values = grid[lo:lo + step].tolist()
+            ctx = BatchContext(np.stack([model(params(v)).probs for v in values]), args.strategy)
+            columns = [(m, ctx.value(m).tolist()) for m in measures]
+            for i, v in enumerate(values):
+                out.write("".join(
+                    f"{args.sweep},{v:.6f},{m},{fmt(None if math.isnan(x[i]) else x[i])}\n" for m, x in columns
+                ))
+            for m in measures:
+                rows = np.flatnonzero(np.isnan(ctx.value(m)))
+                if rows.size:
+                    seen = undefined.setdefault(m, [0, lo + int(rows[0]), {}])
+                    seen[0] += rows.size
+                    seen[2].update(dict.fromkeys(str(ctx.undefined_error(m, row)) for row in rows))
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    # an undefined value is NaN in its row; one note per measure, by the first point it is undefined at
-    undefined = {m: np.flatnonzero(np.isnan(values[m])) for m in measures}
-    for m in sorted((m for m, rows in undefined.items() if rows.size), key=lambda m: undefined[m][0]):
-        rows = undefined[m]
-        why = " / ".join(dict.fromkeys(str(ctx.undefined_error(m, row)) for row in rows))
-        print(f"note: {m} undefined at {rows.size} of {len(grid)} points, left empty ({why})", file=sys.stderr)
+    for m, (count, _, why) in sorted(undefined.items(), key=lambda item: item[1][1]):
+        print(f"note: {m} undefined at {count} of {len(grid)} points, left empty ({' / '.join(why)})", file=sys.stderr)
     return 0
 
 
@@ -421,15 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:  # the process entry: see the module docstring
-        gc.freeze()
-        sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # numpy's RNG streams take non-negative seeds only
         parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader has gone, which is no data error: ``entry`` ends the call
+        raise
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
@@ -438,5 +448,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run ``main`` on ``sys.argv`` as the process, and end the process without teardown (see the module docstring)."""
+    sys.modules.setdefault("_hashlib", None)
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except SystemExit as exc:  # --help, and argparse's usage errors
+        code = exc.code
+    except BrokenPipeError:
+        # No one is left to read a report; stdout goes to devnull, as in the Python docs' note on SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -3,14 +3,16 @@
 The input is a stack of joint tables of shape (n, d_X, d_Y, d_Z), and
 every candidate along the leading axis is evaluated with its own
 marginals.  ``registry.evaluate`` is the stack-of-1 call; the bootstrap's
-resamples and the achievable bounds' deterministic couplings are evaluated
-in stacks of at most ``STACK_CELLS`` table cells, and the CLI's ``sweep``
-evaluates its whole grid of model joints as one stack.  What several
-measures share (marginals, the filled conditionals, the do-rows, and each
-measure's own values, so ricmi_two reuses both ICMI directions) is computed
-lazily and at most once per stack; a reconstruction that serves a single
-measure pair is rebuilt on request instead of kept, which holds the memory
-of a large stack near that of its most expensive measure.
+resamples, the achievable bounds' deterministic couplings and the model
+joints of the CLI's ``sweep`` grid are evaluated in stacks of at most
+``STACK_CELLS`` table cells, so their memory does not grow with their
+number (the sweep writes each stack's rows before it builds the next).
+What several measures share (marginals, the filled conditionals, the
+do-rows, and each measure's own values, so ricmi_two reuses both ICMI
+directions) is computed lazily and at most once per stack; a
+reconstruction that serves a single measure pair is rebuilt on request
+instead of kept, which holds the memory of a large stack near that of its
+most expensive measure.
 Rows never interact: every reduction runs inside one row, so row b of a
 stack gives the same value as the stack-of-1 call on that row.
 
@@ -46,7 +48,7 @@ from .prob import _entropy_rows, _js_rows, _kl_rows, _tv_rows
 from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 # Table cells per engine call when a long stack (bootstrap resamples, bound
-# candidates) is evaluated in chunks.  The budget counts one
+# candidates, sweep grid points) is evaluated in chunks.  The budget counts one
 # stack-sized temporary, and a step keeps about 17 of them live (the
 # marginals, both conditionals, a reconstruction and its JS terms), so 2^12
 # cells hold a step near 550 KB, inside a core's L2 cache.  Rows never

@@ -13,6 +13,7 @@ import pytest
 from directcorr.bounds import BOUND_MEASURES, CouplingIterator, candidate_family
 from directcorr.cli import BACKDOOR_CAVEAT, main
 from directcorr.datasets import dataset_from_csv, load_schema
+from directcorr.engine import STACK_CELLS
 from directcorr.errors import Undefined
 from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
 from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
@@ -509,6 +510,28 @@ class TestNoMaskedArrays:
         assert self.probe("bounds", "--csv", data, "--schema", schema) == "False"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["fails-in-main", "fails-in-final-flush"])
+def test_stdout_whose_reader_has_gone_exits_1_quietly(unbuffered):
+    # unbuffered, print fails inside the command; block-buffered, the entry's final flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "directcorr.cli", "bounds", "--builtin", "titanic"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+# Starts ``python -m directcorr.cli ARGV`` from a small interpreter and prints its peak RSS in KB: a child's
+# ru_maxrss includes the peak of the process it was forked from, and the test process is large.
+PEAK_RSS = ("import os, subprocess, sys; "
+            "p = subprocess.Popen([sys.executable, '-m', 'directcorr.cli', *sys.argv[1:]], stdout=subprocess.DEVNULL); "
+            "_, status, ru = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(status), ru.ru_maxrss)")
+
+
 class TestSweep:
     def test_simple_model_monotone_output(self, capsys):
         code, out, _ = run(
@@ -565,7 +588,7 @@ class TestSweep:
         # pc is undefined for two different reasons
         ("decision", {"q1": -1, "q2": -1, "q3": 0.5, "q4": 0}, "q0"),
     ])
-    def test_equals_one_evaluate_per_cell(self, capsys, model, fixed, sweep, strategy):
+    def test_equals_one_evaluate_per_cell(self, capsys, tmp_path, monkeypatch, model, fixed, sweep, strategy):
         params_type, joint_of = {
             "simple": (SimpleParams, simple_model_joint),
             "decision": (DecisionParams, decision_model_joint),
@@ -591,10 +614,35 @@ class TestSweep:
                 "--strategy", strategy, "--measures", ",".join(MEASURES)]
         for k, v in fixed.items():
             argv += ["--set", f"{k}={v}"]
-        code, out, err = run(capsys, *argv)
-        assert code == 0
-        assert out == "\n".join(lines) + "\n"
-        assert err == notes
+        expected = "\n".join(lines) + "\n"
+        for cells in (STACK_CELLS, 1, 16, 24):  # the grid as one stack, then stacks of one, two and three points
+            monkeypatch.setattr("directcorr.cli.STACK_CELLS", cells)
+            assert run(capsys, *argv) == (0, expected, notes)
+            written = tmp_path / f"{cells}.csv"
+            assert run(capsys, *argv, "--output", str(written)) == (0, f"wrote {written}\n", notes)
+            assert written.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+    def test_grid_leaving_its_range_writes_no_row(self, capsys, tmp_path, output):
+        # lam1 leaves [0, 1] at the fourth of five points
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--start", "0.5",
+                "--stop", "1.5", "--points", "5", *(["--output", str(out)] if output else [])]
+        assert run(capsys, *argv) == (2, "", "error: lam1 must be in [0.0, 1.0], got 1.25\n")
+        assert not out.exists()
+
+    def test_long_grid_holds_one_stack(self, tmp_path):
+        # memory does not grow with the grid: 50,000 points peak within 3 MB of 201
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        peaks = {}
+        for points in (201, 50_000):
+            argv = ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", str(points),
+                    "--measures", "rmi,ricmi_two,nace", "--output", str(tmp_path / f"{points}.csv")]
+            done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True, env=env)
+            code, peaks[points] = map(int, done.stdout.split())
+            assert code == 0, done.stderr
+        assert len((tmp_path / "50000.csv").read_text(encoding="utf-8").splitlines()) == 1 + 50_000 * 3
+        assert peaks[50_000] - peaks[201] <= 3 * 1024, peaks
 
     def test_note_order_and_reasons(self, capsys):
         code, _, err = run(

@@ -1,16 +1,19 @@
 """What every CLI call pays before and after its command runs.
 
 A call is short, so interpreter start-up and exit are a large part of it:
-importing the package must not pull in modules only some commands use, the
-records that only hold values are named tuples (a class statement, not a
-generated ``__init__``, ``__repr__`` and ``__eq__`` per class), and the
-process entry freezes the import-time heap so no collection walks it again.
-The process entry also makes ``hashlib`` use the interpreter's built-in
-digests: ``numpy.random`` imports ``secrets``, and through it ``hashlib``,
-whose OpenSSL module ``_hashlib`` would map libcrypto for digests the CLI
-never computes, 3.4 MB of resident memory in each bootstrapping call.
+importing the package must not pull in modules only some commands use, and
+the records that only hold values are named tuples (a class statement, not a
+generated ``__init__``, ``__repr__`` and ``__eq__`` per class).  The process
+entry, ``cli.entry``, flushes stdout and stderr and ends with ``os._exit``,
+so no exit handler runs and the interpreter's teardown never collects and
+frees the import-time heap; with that teardown gone, freezing the heap with
+``gc.freeze()`` no longer moved a call's wall time, so the entry does not.
+The entry also makes ``hashlib`` use the interpreter's built-in digests:
+``numpy.random`` imports ``secrets``, and through it ``hashlib``, whose
+OpenSSL module ``_hashlib`` would map libcrypto for digests the CLI never
+computes, 3.4 MB of resident memory in each bootstrapping call.
+``cli.main(argv)`` leaves the collector and ``hashlib`` as they were.
 """
-
 import dataclasses
 import gc
 import importlib
@@ -61,12 +64,19 @@ def test_record_repr_names_its_fields():
     assert ci._replace(n_excluded=60).too_many_excluded and not ci.too_many_excluded
 
 
-def test_process_entry_freezes_the_heap():
-    code = ("import gc, sys; from directcorr.cli import main; before = gc.get_freeze_count(); "
-            "sys.argv = ['directcorr', 'analyze', '--builtin', 'berkeley', '--measures', 'rmi']; "
-            "assert main() == 0; print(before, gc.get_freeze_count())")
-    before, after = map(int, fresh(code)[-1].split())
-    assert before == 0 and after > 0
+def test_process_entry_skips_teardown_and_keeps_the_exit_code():
+    """The entry flushes what the command wrote and ends with its exit code; exit handlers never run."""
+    code = ("import atexit, sys; from directcorr.cli import entry; atexit.register(print, 'teardown'); "
+            "sys.argv = ['directcorr', *sys.argv[1:]]; entry()")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": ""}  # stdout block-buffered, as in a pipe
+    argv = ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--points", "600"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "param,param_value,measure,value"
+    assert len(done.stdout.splitlines()) == 1 + 600 * 5 and "teardown" not in done.stdout
+    usage = subprocess.run([sys.executable, "-c", code, "sweep"], capture_output=True, text=True, env=env)
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr.startswith("error: the following arguments are required")
 
 
 def test_in_process_call_leaves_the_collector_alone(capsys):
@@ -76,13 +86,13 @@ def test_in_process_call_leaves_the_collector_alone(capsys):
 
 
 def test_process_entry_bootstraps_without_openssl():
-    code = ("import sys; from directcorr.cli import main; "
+    code = ("import os, sys; from directcorr.cli import entry; codes = []; os._exit = codes.append; "
             "sys.argv = ['directcorr', 'analyze', '--builtin', 'titanic', '--bootstrap', '20', '--measures', 'rmi']; "
-            "assert main() == 0; import hashlib; "
-            "print('numpy.random' in sys.modules, sys.modules.get('_hashlib') is None, "
+            "entry(); import hashlib; "
+            "print(codes, 'numpy.random' in sys.modules, sys.modules.get('_hashlib') is None, "
             "hashlib.sha256(b'abc').hexdigest())")
     assert fresh(code)[-1].split() == [
-        "True", "True", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
+        "[0]", "True", "True", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
 
 
 def test_in_process_call_leaves_hashlib_alone(capsys, monkeypatch):
