@@ -130,6 +130,7 @@ COMMANDS = [
     ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json", "--strategy", "a"],
     ["bounds", "--csv", "gen442.csv", "--schema", "gen442.json", "--strategy", "c"],
     ["bounds", "--csv", "grid_ends.csv", "--schema", "grid_ends.json", "--strategy", "b"],
+    ["bounds", "--csv", "grid_ends.csv", "--schema", "grid_ends.json", "--strategy", "c"],
     ["bounds", "--csv", "full828.csv", "--schema", "full828.json", "--cap", str(10**24)],
     # nace and race are undefined where X has one category; the other measures are still bounded
     ["bounds", "--csv", "one_x.csv", "--schema", "one_x.json"],

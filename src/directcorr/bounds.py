@@ -38,10 +38,12 @@ cells one of their options:
   measure is a convex function of row x's p(x,y) row or do-row.  That row
   ranges over a simplex whose vertices put all of the row's mass on one y,
   so replacing the rows of any coupling one at a time by their best vertex
-  never lowers the value.  This needs the do-rows' fill on empty (x,z)
-  cells to be fixed, so the set is used with full (x,z) support or under
-  rule a; under rules b and c an empty cell is filled with a p(y) that
-  couples the rows, and these measures fall back to the full family.
+  never lowers the value.  rmi reads only p(x,y), which no fill touches,
+  so its set is used on every support.  The do-rows need their fill on
+  empty (x,z) cells to be fixed, so for nace, race and rmi_do the set is
+  used with full (x,z) support or under rule a; under rules b and c an
+  empty cell is filled with a p(y) that couples the rows, and these
+  measures fall back to the full family.
 * rcmi, under every rule: its JS splits into a sum over strata weighted
   by p(z), which every coupling shares.  Each stratum's d_Y^k_z patterns
   (k_z its supported cells) are scored with the engine's ``cmi_js`` on
@@ -496,9 +498,9 @@ class _Search:
         parts = SEARCHED[measure]
         # A gap of JS_TOL / 2 in each JS sum is at most sqrt(JS_TOL / 2) in each root.
         window = JS_TOL if len(parts) == 1 else math.sqrt(2.0 * JS_TOL)
-        cols = [self.parts.index(p) for p in parts]
-        per = [v[:, cols] for v in self.per]  # (patterns, parts, grid)
-        rest = [table[cols] for table in self.suffix]  # (parts, bins, grid) per depth
+        cols = slice(self.parts.index(parts[0]), self.parts.index(parts[-1]) + 1)
+        per = [v[:, cols] for v in self.per]  # (patterns, parts, grid), views
+        rest = [table[cols] for table in self.suffix]  # (parts, bins, grid) per depth, views
         best = self.ascent(parts, per)
         depth = len(self.a)
         # Each entry: depth, and per node its t, grid sums, stratum patterns and bound.
@@ -538,7 +540,8 @@ class _Search:
 
 def search_candidates(it: CouplingIterator, measures: Sequence[str], s: SparseStrategy) -> Product | None:
     """The union of the searched ``measures``' near-max sets, as one factor over all cells; None for all couplings."""
-    search = _Search(it, s, list(dict.fromkeys(p for m in measures for p in SEARCHED[m])))
+    # rpmi, xy, yx: every measure's parts are adjacent, so near_max reads them through slices
+    search = _Search(it, s, [p for p in ("rpmi", "xy", "yx") if any(p in SEARCHED[m] for m in measures)])
     found = []
     for m in measures:
         pats = search.near_max(m)
@@ -554,7 +557,7 @@ def candidate_family(measure: str, it: CouplingIterator, s: SparseStrategy | str
     if measure == "rcmi":
         return "strata"
     full_support = len(it.cells) == it.d_x * it.d_z
-    if measure in ROW_CONVEX and (full_support or strategy is SparseStrategy.UNIFORM):
+    if measure == "rmi" or (measure in ROW_CONVEX and (full_support or strategy is SparseStrategy.UNIFORM)):
         return "rows"
     patterns = [it.d_y ** sum(1 for _, z in it.cells if z == zz) for zz in range(it.d_z)]
     if (

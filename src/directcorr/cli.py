@@ -273,7 +273,7 @@ def cmd_sweep(args) -> int:
 
     for value in grid:  # a point out of range stops the sweep before any row is written
         params(value)
-    step = max(1, STACK_CELLS // model(params(grid[0])).probs.size)
+    step = max(1, STACK_CELLS // 8)  # both models are 2x2x2 joints
     # an undefined value is empty in its row; per measure undefined somewhere, its note's figures:
     # the number of points, the first point, and the reasons in order of first occurrence
     undefined: dict[str, list] = {}

@@ -49,10 +49,11 @@ from .sparse import DEFAULT_STRATEGY, SparseStrategy
 
 # Table cells per engine call when a long stack (bootstrap resamples, bound
 # candidates, sweep grid points) is evaluated in chunks.  The budget counts one
-# stack-sized temporary, and a step keeps about 17 of them live (the
-# marginals, both conditionals, a reconstruction and its JS terms), so 2^12
-# cells hold a step near 550 KB, inside a core's L2 cache.  Rows never
-# interact, so the size changes no value.
+# stack-sized temporary, and a step keeps at most 12 of them live (the
+# marginals, both conditionals, an ICMI pair and the four buffers of its JS;
+# the kernels in ``prob`` work in place), so 2^12 cells hold a step near
+# 380 KB, inside a core's L2 cache.  Rows never interact, so the size changes
+# no value.
 STACK_CELLS = 2**12
 
 DEGENERATE = "a variable is constant under its encoding; PCC undefined"

@@ -164,8 +164,11 @@ def _axes(p: np.ndarray) -> tuple[int, ...]:
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each table along the leading axis."""
-    # p + (p == 0) takes the log of 1 on empty cells, which then add 0
-    return -(p * np.log2(p + (p == 0))).sum(axis=_axes(p))
+    # p + (p == 0) takes the log of 1 on empty cells, which then add 0, and is p elsewhere
+    terms = np.where(p == 0, 1.0, p)
+    np.log2(terms, out=terms)
+    terms *= p
+    return -terms.sum(axis=_axes(p))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -177,29 +180,52 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # they add 0 where p = 0 and only occur in infinite rows otherwise.
     # A difference of logs rather than the log of the ratio is immune to
     # the overflow a normal/subnormal entry pair produces.
-    pad = ~pos | empty
-    terms = p * (np.log2(p + pad) - np.log2(q + pad))
+    common = pos & ~empty
+    terms, log_q = p + 1.0, q + 1.0
+    for buf, x in ((terms, p), (log_q, q)):
+        np.putmask(buf, common, x)  # x + 0 is x on the common support
+        np.log2(buf, out=buf)
+    terms -= log_q
+    terms *= p
     return np.where((pos & empty).any(axis=axes), math.inf, terms.sum(axis=axes))
 
 
-def _js_nat_terms(a: np.ndarray, other: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """Per-cell a * ln(a / m) with m = (a + other) / 2, as an array.
+def _js_nat_terms(a: np.ndarray, m: np.ndarray, ratio: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+    """Per-cell a * ln(a / m) with m = (a + other) / 2 and ratio = (a - m) / m, as an array.
 
-    Near-equal cells go through log1p of (a - m) / m, which stays
-    accurate down to ~1e-30 total when the two distributions are nearly
-    identical (the sqrt taken by the regularized measures would amplify
-    plain-log noise there).  Extreme cells, where that ratio rounds to
-    -1, use the direct log difference instead.
+    Near-equal cells go through log1p of the ratio, which stays accurate
+    down to ~1e-30 total when the two distributions are nearly identical
+    (the sqrt taken by the regularized measures would amplify plain-log
+    noise there).  Extreme cells, where the ratio rounds to -1, use the
+    direct log difference instead.  Cells outside a boolean ``support``
+    are 0.
+
+    Every point value, bootstrap resample, bound candidate and sweep point
+    runs this twice, so it works in two stack-sized buffers, rewritten in
+    place, with nothing else live but boolean masks; each cell still goes
+    through the same operations as it would with a fresh array per step.
     """
-    mask = a > 0
-    extreme = mask & (np.abs(ratio) >= 0.5)
-    near = mask & ~extreme
+    near = a > 0
+    if support is not None:
+        near &= support
+    extreme = (ratio >= 0.5) | (ratio <= -0.5)
+    extreme &= near
+    off = ~near  # the cells of neither branch
+    near ^= extreme
     # Off its own cells each branch takes log(2) - log(2) or log1p(0), so none warns.
-    safe_a = np.where(extreme, a, 1.0)
-    safe_m = np.where(extreme, 0.5 * (a + other), 1.0)
-    far = a * (np.log(2.0 * safe_a) - np.log(2.0 * safe_m))
-    close = a * np.log1p(np.where(near, ratio, 0.0))
-    return np.where(extreme, far, np.where(near, close, 0.0))
+    far, out = np.where(extreme, a, 1.0), np.where(extreme, m, 1.0)
+    for buf in (far, out):
+        buf *= 2.0
+        np.log(buf, out=buf)
+    far -= out
+    far *= a
+    out.fill(0.0)
+    np.putmask(out, near, ratio)
+    np.log1p(out, out=out)
+    out *= a
+    np.putmask(out, extreme, far)
+    np.putmask(out, off, 0.0)
+    return out
 
 
 def _js_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
@@ -208,15 +234,17 @@ def _js_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray | None = None) ->
     With a boolean ``support``, both KL sums run only over its true cells.
     """
     axes = _axes(p)
-    m = 0.5 * (p + q)
-    h = 0.5 * (p - q)  # p - m; exact in IEEE arithmetic
-    ratio = np.divide(h, m, out=np.zeros_like(m), where=m > 0)
-    tp = _js_nat_terms(p, q, ratio)
-    tq = _js_nat_terms(q, p, -ratio)
-    if support is not None:
-        tp = np.where(support, tp, 0.0)
-        tq = np.where(support, tq, 0.0)
-    return np.minimum(np.maximum((tp.sum(axis=axes) + tq.sum(axis=axes)) / (2.0 * LN2), 0.0), 1.0)
+    m = p + q
+    m *= 0.5
+    ratio = p - q
+    ratio *= 0.5  # p - m; exact in IEEE arithmetic
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= m
+    np.putmask(ratio, ~(m > 0), 0.0)
+    tp = _js_nat_terms(p, m, ratio, support).sum(axis=axes)
+    np.negative(ratio, out=ratio)  # (q - m) / m
+    tq = _js_nat_terms(q, m, ratio, support).sum(axis=axes)
+    return np.minimum(np.maximum((tp + tq) / (2.0 * LN2), 0.0), 1.0)
 
 
 def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

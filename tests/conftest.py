@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,17 @@ def cond_indep_joint(rng, shape) -> Joint3:
 def bounds_at_points(j: Joint3, measures=BOUND_MEASURES, s="b") -> dict:
     """``achievable_bounds`` of ``measures`` on ``j``, each around its ``evaluate`` value, as the CLI calls it."""
     return achievable_bounds(j, {m: evaluate(j, m, s) for m in measures}, s)
+
+
+def traced_peak(f) -> int:
+    """Bytes that ``f()`` holds at its peak above what was live before it, traced on a second call (warm caches)."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def data_file(name: str) -> Path | None:

@@ -24,7 +24,7 @@ from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import evaluate
 from directcorr.resampling import _resample_counts
 
-from conftest import bounds_at_points, random_joint
+from conftest import bounds_at_points, random_joint, traced_peak
 
 
 def identity_coupling_joint(k: int) -> Joint3:
@@ -356,6 +356,14 @@ class TestStructuredBounds:
         for shape in [(3, 2, 3), (4, 2, 3), (3, 2, 4), (2, 2, 5), (3, 3, 2), (2, 3, 3)] * 3:
             assert_matches_enumeration(sparse_joint(rng, shape), BOUND_MEASURES, s)
 
+    @pytest.mark.parametrize("s", ["b", "c"])
+    def test_rmi_rows_on_sparse_support(self, s):
+        rng = np.random.default_rng(1014)
+        for shape in [(3, 2, 3), (4, 2, 3), (3, 3, 3), (5, 2, 4), (2, 3, 4), (4, 3, 2), (3, 2, 5)] * 2:
+            j = sparse_joint(rng, shape)
+            assert candidate_family("rmi", CouplingIterator(j), s) == "rows"
+            assert_matches_enumeration(j, ("rmi",), s)
+
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     def test_three_outcome_tables(self, s):
         rng = np.random.default_rng(1011)
@@ -381,11 +389,11 @@ class TestStructuredBounds:
                 assert candidate_family("rcmi", it, s) == "strata"
 
     def test_sparse_support_falls_back_under_rules_b_and_c(self, rng):
+        # rmi reads only p(x,y), which no fill rule touches; the do-rows read the fill
         it = CouplingIterator(sparse_joint(rng, (3, 2, 3)))
         for m in ROW_CONVEX:
             assert candidate_family(m, it, "a") == "rows"
-            assert candidate_family(m, it, "b") == "all"
-            assert candidate_family(m, it, "c") == "all"
+            assert candidate_family(m, it, "b") == candidate_family(m, it, "c") == ("rows" if m == "rmi" else "all")
         # 2^7 couplings: a scan costs less than tabulating the strata
         for m in SEARCHED:
             assert candidate_family(m, it, "a") == "all"
@@ -408,6 +416,23 @@ class TestStructuredBounds:
         # A stratum of 11 supported cells has more patterns than the search tabulates.
         assert candidate_family("ricmi_yx", CouplingIterator(random_joint(rng, (10, 2, 2))), "b") == "search"
         assert candidate_family("ricmi_yx", CouplingIterator(random_joint(rng, (11, 2, 2))), "b") == "all"
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    def test_searched_measures_in_any_order(self, s):
+        # near_max reads each measure's parts of the search tables through one slice
+        orders = [tuple(SEARCHED), tuple(reversed(SEARCHED)),
+                  ("ricmi_two", "rpmi", "ricmi_yx", "ricmi_xy"), ("ricmi_yx", "ricmi_two", "ricmi_xy", "rpmi")]
+        for j in (generated_442(1), grid_ends_joint()):
+            it = CouplingIterator(j)
+            assert {candidate_family(m, it, s) for m in SEARCHED if m != "rpmi" or s != "b"} == {"search"}
+            reports = [bounds_at_points(j, order, s) for order in orders]
+            assert all(repr(sorted(r.items())) == repr(sorted(reports[0].items())) for r in reports[1:])
+
+    @pytest.mark.parametrize("name, ceiling_mb", [("berkeley", 0.62), ("generated_442(1)", 0.5)])
+    def test_bounds_traced_peak(self, name, ceiling_mb):
+        j = dataset_from_builtin("berkeley").joint if name == "berkeley" else generated_442(1)
+        points = {m: evaluate(j, m, "b") for m in BOUND_MEASURES}
+        assert traced_peak(lambda: bounds_module.achievable_bounds(j, points, "b")) <= ceiling_mb * 2**20
 
     def test_search_sends_few_couplings_to_the_engine(self, monkeypatch):
         sent = []

@@ -660,6 +660,19 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_builds_each_points_joint_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(params):
+            built.append(params.lam1)
+            return simple_model_joint(params)
+
+        monkeypatch.setattr("directcorr.cli.simple_model_joint", counted)
+        code, _, _ = run(capsys, "sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1",
+                         "--points", "201", "--measures", "rmi")
+        assert code == 0
+        assert built == np.linspace(0.0, 1.0, 201).tolist()
+
 
 class TestReproduce:
     def test_byte_identical_with_fixed_seed(self, capsys, tmp_path, monkeypatch):
