@@ -175,6 +175,16 @@ COMMANDS = [
     # a grid that leaves lam1's range part way: no row, and no file
     ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--start", "0.5", "--stop", "1.5",
      "--points", "5", "--output", "sweep_range.csv"],
+    # q3 is out of range at the first point, and q0 leaves its range later: the error names q3
+    ["sweep", "--model", "decision", "--set", "q1=0.5", "--set", "q2=0.3", "--set", "q3=5", "--set", "q4=0.2",
+     "--sweep", "q0", "--start", "0", "--stop", "2"],
+    # a fixed parameter that is not a number in any range
+    ["sweep", "--model", "simple", "--set", "lam0=nan", "--sweep", "lam1"],
+    # a descending grid, then a grid of one point
+    ["sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1", "--start", "1", "--stop", "0",
+     "--points", "7", "--measures", ",".join(SWEEP_IDS)],
+    ["sweep", "--model", "decision", "--set", "q0=0", "--set", "q1=0.5", "--set", "q2=0.3", "--set", "q4=0.2",
+     "--sweep", "q3", "--start", "0.4", "--points", "1", "--measures", ",".join(SWEEP_IDS)],
 ]
 
 

@@ -10,6 +10,8 @@ Usage:
     python scripts/sweep_models.py [--out sweeps] [--points 21]
 """
 
+from __future__ import annotations
+
 import argparse
 from pathlib import Path
 
@@ -18,11 +20,11 @@ from directcorr.cli import main as cli_main
 DECISION_FIXED = ("q0=0", "q1=0.5", "q2=0.3", "q4=0.2")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="sweeps")
     parser.add_argument("--points", type=int, default=21)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rc = 0

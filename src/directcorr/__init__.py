@@ -28,8 +28,6 @@ from .datasets import (
 )
 from .errors import DirectCorrError
 from .models import (
-    DecisionParams,
-    SimpleParams,
     decision_model_joint,
     fig5_corpus,
     simple_model_joint,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import os
 import sys
@@ -43,13 +42,7 @@ from .datasets import (
 )
 from .engine import PAIR_KERNELS, STACK_CELLS, BatchContext
 from .errors import DataError, DirectCorrError, Undefined, UnknownMeasure
-from .models import (
-    DecisionParams,
-    SimpleParams,
-    decision_model_joint,
-    fig5_corpus,
-    simple_model_joint,
-)
+from .models import RANGES, check_ranges, decision_model_joint, fig5_corpus, simple_model_joint
 from .prob import ObservationTable
 from .registry import (
     TABLE_MEASURES,
@@ -254,25 +247,18 @@ def _sweep_params(args) -> dict[str, float]:
 
 
 def cmd_sweep(args) -> int:
-    """Write the grid's rows one engine stack at a time; only the notes on undefined values carry over."""
+    """Check the whole grid, then write its rows a stack at a time; only the notes on undefined values carry over."""
     measures = _parse_measures(args.measures, default=SWEEP_DEFAULT_MEASURES)
     fixed = _sweep_params(args)
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     grid = np.linspace(args.start, args.stop, args.points)
-    params_type, model = {
-        "simple": (SimpleParams, simple_model_joint),
-        "decision": (DecisionParams, decision_model_joint),
-    }[args.model]
-    names = sorted(f.name for f in dataclasses.fields(params_type))
+    model = {"simple": simple_model_joint, "decision": decision_model_joint}[args.model]
+    names = sorted(RANGES[args.model])
     if args.sweep in fixed or sorted({*fixed, args.sweep}) != names:
         raise ValueError(f"the {args.model} model takes {', '.join(names)}; --sweep one and --set the others")
-
-    def params(value):
-        return params_type(**fixed, **{args.sweep: float(value)})
-
-    for value in grid:  # a point out of range stops the sweep before any row is written
-        params(value)
+    # a point out of range stops the sweep before any row is written
+    check_ranges(args.model, **fixed, **{args.sweep: grid})
     step = max(1, STACK_CELLS // 8)  # both models are 2x2x2 joints
     # an undefined value is empty in its row; per measure undefined somewhere, its note's figures:
     # the number of points, the first point, and the reasons in order of first occurrence
@@ -280,10 +266,10 @@ def cmd_sweep(args) -> int:
     with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as out:
         out.write("param,param_value,measure,value\n")
         for lo in range(0, len(grid), step):
-            values = grid[lo:lo + step].tolist()
-            ctx = BatchContext(np.stack([model(params(v)).probs for v in values]), args.strategy)
+            values = grid[lo:lo + step]
+            ctx = BatchContext(model(**fixed, **{args.sweep: values}), args.strategy)
             columns = [(m, ctx.value(m).tolist()) for m in measures]
-            for i, v in enumerate(values):
+            for i, v in enumerate(values.tolist()):
                 out.write("".join(
                     f"{args.sweep},{v:.6f},{m},{fmt(None if math.isnan(x[i]) else x[i])}\n" for m, x in columns
                 ))

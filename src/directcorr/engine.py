@@ -278,8 +278,8 @@ class BatchContext:
         """p(x|z) p(y|z) p(z): X-Y correlation removed within every stratum."""
         return self.pxz[:, :, None, :] * self.y_given_z[:, None, :, :]
 
-    def q_pmi(self) -> tuple[np.ndarray, np.ndarray]:
-        """The PMI reconstruction and the realized mass of each stratum (1 where p(z) = 0)."""
+    def q_pmi(self) -> np.ndarray:
+        """The PMI reconstruction q(x|z) q(y|z) p(z), each stratum rescaled to hold exactly p(z)."""
         qx = (self.xcond * self.py[:, None, :, None]).sum(axis=2)  # q(x|z): (n, d_X, d_Z)
         qy = (self.ycond * self.px[:, :, None, None]).sum(axis=1)  # q(y|z): (n, d_Y, d_Z)
         pz = self.pz
@@ -288,7 +288,7 @@ class BatchContext:
         masses = qx.sum(axis=1) * qy.sum(axis=1)
         scale = np.where((pz > 0) & (masses > 0), masses, 1.0)
         q = qx[:, :, None, :] * qy[:, None, :, :] * (pz / scale)[:, None, None, :]
-        return np.where(pz[:, None, None, :] > 0, q, 0.0), np.where(pz > 0, masses, 1.0)
+        return np.where(pz[:, None, None, :] > 0, q, 0.0)
 
     def icmi_pair(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
         """The two-step ICMI pair (p1, p2) of one direction, 'xy' or 'yx'.
@@ -324,7 +324,7 @@ class BatchContext:
     def js_pair(self, part: str) -> tuple[np.ndarray, np.ndarray]:
         """The pair whose JS is rpmi's ('rpmi': the table and its PMI reconstruction) or an ICMI direction's ('xy', 'yx')."""
         if part == "rpmi":
-            return self.q, self.q_pmi()[0]
+            return self.q, self.q_pmi()
         return self.icmi_pair(part)
 
     def js_part(self, part: str) -> np.ndarray:
@@ -361,7 +361,7 @@ _KERNELS: dict[str, Callable[[BatchContext], np.ndarray]] = {
     "cmi": _k_cmi,
     "cmi_js": lambda c: c.js_to(c.q, c.q_cmi()),
     "rcmi": lambda c: np.sqrt(c.value("cmi_js")),
-    "pmi": lambda c: _kl_rows(c.q, c.q_pmi()[0]),
+    "pmi": lambda c: _kl_rows(c.q, c.q_pmi()),
     "rpmi": lambda c: np.sqrt(c.js_part("rpmi")),
     "icmi_xy": lambda c: _kl_rows(*c.icmi_pair("xy")),
     "icmi_yx": lambda c: _kl_rows(*c.icmi_pair("yx")),

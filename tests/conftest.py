@@ -15,6 +15,11 @@ def random_joint(rng, shape, alpha=1.0) -> Joint3:
     return Joint3(tuple(Alphabet.of_size(d) for d in shape), probs)
 
 
+def binary_joint(probs) -> Joint3:
+    """A (2, 2, 2) probability table, such as a toy model's, as a joint over binary alphabets."""
+    return Joint3((Alphabet.of_size(2),) * 3, probs)
+
+
 def cond_indep_joint(rng, shape) -> Joint3:
     """Random joint with X independent of Y inside every stratum of Z."""
     dx, dy, dz = shape

@@ -24,12 +24,12 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import bounds_at_points, cond_indep_joint, data_file, random_joint
+from conftest import binary_joint, bounds_at_points, cond_indep_joint, data_file, random_joint
 from directcorr.bounds import BOUND_MEASURES, achievable_bound, rmi_max_uniform
 from directcorr.datasets import dataset_from_builtin, dataset_from_csv, load_schema
 from directcorr.engine import BatchContext
 from directcorr.errors import DegenerateVariable, SingularDenominator
-from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
+from directcorr.models import decision_model_joint, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, _js_rows, _kl_rows
 from directcorr.registry import ace, cmi, do_conditional, evaluate, mi_do, nace, race, rcmi
 from directcorr.resampling import bootstrap_ci
@@ -180,7 +180,7 @@ def test_c5_closed_form_bound():
 
 
 def test_c6_sparse_special_case():
-    j = decision_model_joint(DecisionParams(0, 1, 1, 1, 0))
+    j = binary_joint(decision_model_joint(0, 1, 1, 1, 0))
     assert cmi(j) == pytest.approx(0.0, abs=1e-12)
     for s in ("a", "b"):
         assert evaluate(j, "pmi", s) == pytest.approx(0.83, abs=0.01)
@@ -266,13 +266,13 @@ def test_c8_monotone_sweeps():
     for lam0 in (0.0, 0.5, 0.99):
         for m in measures:
             vals = [
-                evaluate(simple_model_joint(SimpleParams(lam0, float(v))), m, "b") for v in grid
+                evaluate(binary_joint(simple_model_joint(lam0, float(v))), m, "b") for v in grid
             ]
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])), (m, lam0)
     fixed = dict(q0=0.0, q1=0.5, q2=0.3, q4=0.2)  # documented fixed-parameter set
     for m in measures:
         vals = [
-            evaluate(decision_model_joint(DecisionParams(q3=float(v), **fixed)), m, "b")
+            evaluate(binary_joint(decision_model_joint(q3=float(v), **fixed)), m, "b")
             for v in grid
         ]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:])), m

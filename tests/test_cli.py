@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -10,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import binary_joint
 from directcorr.bounds import BOUND_MEASURES, CouplingIterator, candidate_family
 from directcorr.cli import BACKDOOR_CAVEAT, main
 from directcorr.datasets import dataset_from_csv, load_schema
 from directcorr.engine import STACK_CELLS
 from directcorr.errors import Undefined
-from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, simple_model_joint
+from directcorr.models import decision_model_joint, simple_model_joint
 from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
 from directcorr.report import MeasureEntry, MeasureReport, csv_rows, fmt, human_table, to_csv, to_json
 from directcorr.resampling import RNG_ID
@@ -589,16 +591,13 @@ class TestSweep:
         ("decision", {"q1": -1, "q2": -1, "q3": 0.5, "q4": 0}, "q0"),
     ])
     def test_equals_one_evaluate_per_cell(self, capsys, tmp_path, monkeypatch, model, fixed, sweep, strategy):
-        params_type, joint_of = {
-            "simple": (SimpleParams, simple_model_joint),
-            "decision": (DecisionParams, decision_model_joint),
-        }[model]
+        joint_of = {"simple": simple_model_joint, "decision": decision_model_joint}[model]
         start = 0.0 if sweep == "lam1" else -1.0
         grid = np.linspace(start, 1.0, 9)
         lines = ["param,param_value,measure,value"]
         undefined: dict[str, list[str]] = {}
         for v in grid:
-            joint = joint_of(params_type(**fixed, **{sweep: float(v)}))
+            joint = binary_joint(joint_of(**fixed, **{sweep: float(v)}))
             for m in MEASURES:
                 try:
                     cell = fmt(evaluate(joint, m, strategy))
@@ -661,17 +660,35 @@ class TestSweep:
         assert code == 2
 
     def test_builds_each_points_joint_once(self, capsys, monkeypatch):
-        built = []
+        # one model call per engine stack, on that stack's slice of the grid
+        calls = []
 
-        def counted(params):
-            built.append(params.lam1)
-            return simple_model_joint(params)
+        def counted(lam0, lam1):
+            calls.append((lam0, lam1.copy()))
+            return simple_model_joint(lam0, lam1)
 
         monkeypatch.setattr("directcorr.cli.simple_model_joint", counted)
+        monkeypatch.setattr("directcorr.cli.STACK_CELLS", 8 * 64)
         code, _, _ = run(capsys, "sweep", "--model", "simple", "--set", "lam0=0.5", "--sweep", "lam1",
                          "--points", "201", "--measures", "rmi")
         assert code == 0
-        assert built == np.linspace(0.0, 1.0, 201).tolist()
+        assert [(lam0, len(lam1)) for lam0, lam1 in calls] == [(0.5, 64), (0.5, 64), (0.5, 64), (0.5, 9)]
+        assert np.concatenate([lam1 for _, lam1 in calls]).tolist() == np.linspace(0.0, 1.0, 201).tolist()
+
+
+def test_sweep_models_script_writes_its_four_tables(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "sweep_models.py"
+    spec = importlib.util.spec_from_file_location("sweep_models", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out", str(tmp_path), "--points", "5"]) == 0
+    names = ["decision_q3.csv", "simple_lam0_0.5.csv", "simple_lam0_0.99.csv", "simple_lam0_0.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        rows = list(csv.reader(io.StringIO((tmp_path / name).read_text(encoding="utf-8"))))
+        assert rows[0] == ["param", "param_value", "measure", "value"]
+        assert len(rows) == 1 + 5 * 5, name
+        assert {r[2] for r in rows[1:]} == {"rcmi", "ricmi_two", "nace", "race", "rmi_do"}
 
 
 class TestReproduce:

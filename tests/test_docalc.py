@@ -5,7 +5,7 @@ import pytest
 
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import SingleCategory
-from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, fig5_corpus, simple_model_joint
+from directcorr.models import decision_model_joint, fig5_corpus, simple_model_joint
 from directcorr.prob import Alphabet, Joint3
 from directcorr.registry import (
     DoConditional,
@@ -20,7 +20,7 @@ from directcorr.registry import (
     rmi_do,
 )
 
-from conftest import random_joint
+from conftest import binary_joint, random_joint
 
 AB = Alphabet((0, 1))
 
@@ -32,7 +32,7 @@ def titanic():
 
 @pytest.fixture(scope="module")
 def sparse_case():
-    return decision_model_joint(DecisionParams(0, 1, 1, 1, 0))
+    return binary_joint(decision_model_joint(0, 1, 1, 1, 0))
 
 
 def rows_of(*pairs):
@@ -166,7 +166,7 @@ class TestDoJoint:
         assert np.allclose(do_joint(j, "b"), j.probs.sum(axis=2), atol=1e-12)
 
     def test_simple_model_full_drive(self):
-        pdo = do_joint(simple_model_joint(SimpleParams(0.0, 1.0)), "b")
+        pdo = do_joint(binary_joint(simple_model_joint(0.0, 1.0)), "b")
         assert np.allclose(pdo, np.eye(2) * 0.5, atol=1e-15)
 
 
@@ -199,7 +199,7 @@ class TestRmiDo:
     def test_half_delta_binary(self):
         from directcorr.bounds import rmi_max_uniform
 
-        j = simple_model_joint(SimpleParams(0.0, 1.0))
+        j = binary_joint(simple_model_joint(0.0, 1.0))
         assert rmi_do(j, "b") == pytest.approx(rmi_max_uniform(2), abs=1e-12)
         assert rmi_do(j, "b") == pytest.approx(0.558, abs=1e-3)
 

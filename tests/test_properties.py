@@ -59,7 +59,7 @@ def test_cmi_reconstruction_preserves_pair_marginals(j):
 @given(j=joint_strategy, s=st.sampled_from(["a", "b", "c"]))
 @settings(max_examples=40, deadline=None)
 def test_pmi_reconstruction_normalized_per_stratum(j, s):
-    q = BatchContext(j.probs[None], s).q_pmi()[0][0]
+    q = BatchContext(j.probs[None], s).q_pmi()[0]
     pz = j.probs.sum(axis=(0, 1))
     assert np.allclose(q.sum(axis=(0, 1)), pz, atol=1e-11)
 

@@ -5,11 +5,11 @@ import pytest
 
 from directcorr.datasets import dataset_from_builtin
 from directcorr.engine import BatchContext
-from directcorr.models import DecisionParams, SimpleParams, decision_model_joint, fig5_corpus, simple_model_joint
+from directcorr.models import decision_model_joint, fig5_corpus, simple_model_joint
 from directcorr.prob import Alphabet, Joint3, _kl_rows
 from directcorr.registry import cmi, cmi_js, evaluate, icmi_oneway, pmi, rcmi, ricmi, rpmi
 
-from conftest import cond_indep_joint, random_joint
+from conftest import binary_joint, cond_indep_joint, random_joint
 
 AB = Alphabet((0, 1))
 
@@ -21,7 +21,7 @@ def q_cmi(j):
 
 
 def q_pmi(j, s):
-    return BatchContext(j.probs[None], s).q_pmi()[0][0]
+    return BatchContext(j.probs[None], s).q_pmi()[0]
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def titanic():
 @pytest.fixture(scope="module")
 def sparse_case():
     # x = y = z with probability 1/2 each; the canonical sparse joint
-    return decision_model_joint(DecisionParams(0, 1, 1, 1, 0))
+    return binary_joint(decision_model_joint(0, 1, 1, 1, 0))
 
 
 class TestReconstructQCmi:
@@ -64,10 +64,10 @@ class TestCmi:
         assert cmi(j) == pytest.approx(0.0, abs=1e-12)
 
     def test_simple_model_lam1_zero(self):
-        assert cmi(simple_model_joint(SimpleParams(0.3, 0.0))) == pytest.approx(0.0, abs=1e-12)
+        assert cmi(binary_joint(simple_model_joint(0.3, 0.0))) == pytest.approx(0.0, abs=1e-12)
 
     def test_simple_model_full_direct_drive(self):
-        assert cmi(simple_model_joint(SimpleParams(0.0, 1.0))) == pytest.approx(1.0, abs=1e-12)
+        assert cmi(binary_joint(simple_model_joint(0.0, 1.0))) == pytest.approx(1.0, abs=1e-12)
 
     def test_kl_form_agrees_with_entropy_form(self, rng):
         for _ in range(50):
@@ -182,7 +182,11 @@ class TestRemovalReport:
         r = {m: evaluate(titanic, m, "b") for m in REMOVAL_IDS}
         assert r["rcmi"] == pytest.approx(math.sqrt(r["cmi_js"]), abs=1e-15)
         assert r["ricmi_two"] == pytest.approx(0.5 * (r["ricmi_xy"] + r["ricmi_yx"]), abs=1e-15)
-        masses = BatchContext(titanic.probs[None], "b").q_pmi()[1][0]
+        # the fill makes each rebuilt stratum conditional sum to 1, so the PMI reconstruction's rescale is a no-op
+        c = BatchContext(titanic.probs[None], "b")
+        qx = (c.xcond * c.py[:, None, :, None]).sum(axis=2)
+        qy = (c.ycond * c.px[:, :, None, None]).sum(axis=1)
+        masses = qx.sum(axis=1) * qy.sum(axis=1)
         assert np.all(np.abs(masses - 1.0) < 1e-9)
 
     def test_label_permutation_invariance(self, rng):

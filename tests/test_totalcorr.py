@@ -3,7 +3,7 @@ import pytest
 
 from directcorr.datasets import dataset_from_builtin
 from directcorr.errors import DegenerateVariable, SingularDenominator
-from directcorr.models import SimpleParams, simple_model_joint
+from directcorr.models import simple_model_joint
 from directcorr.prob import Alphabet, Joint3, _kl_rows
 from directcorr.registry import (
     NumericEncoding,
@@ -14,7 +14,7 @@ from directcorr.registry import (
     regularized_mi,
 )
 
-from conftest import random_joint
+from conftest import binary_joint, random_joint
 
 AB = Alphabet((0, 1))
 
@@ -53,7 +53,7 @@ class TestPcc:
 
     def test_encoding_recodes_only_its_role(self):
         # X, Y and Z share the labels (0, 1) here; negating Y must leave X alone
-        j = simple_model_joint(SimpleParams(0.5, 0.5))
+        j = binary_joint(simple_model_joint(0.5, 0.5))
         assert pcc(j) == pytest.approx(0.75, abs=1e-12)
         assert pcc(j, NumericEncoding(y=(0.0, -1.0))) == pytest.approx(-0.75, abs=1e-12)
         assert partial_correlation(j, NumericEncoding(y=(0.0, -1.0))) == pytest.approx(
