@@ -168,7 +168,7 @@ COMMANDS = [
     # a parameter set twice, and one set to a value that is not a number
     ["sweep", "--model", "simple", "--set", "lam0=0.5", "--set", "lam0=0.2", "--sweep", "lam1"],
     ["sweep", "--model", "simple", "--set", "lam0=abc", "--sweep", "lam1"],
-    # a 1500-point grid written to a file, three engine stacks long, with pcc undefined at both ends
+    # a 1500-point grid written to a file, six engine stacks long, with pcc undefined at both ends
     ["sweep", "--model", "decision", "--set", "q1=-1", "--set", "q2=-1", "--set", "q3=0.5", "--set", "q4=0",
      "--sweep", "q0", "--start", "-1", "--points", "1500", "--measures", "pcc,pc,rpmi,ricmi_two,nace,rmi_do",
      "--strategy", "c", "--output", "sweep_long.csv"],
@@ -185,6 +185,9 @@ COMMANDS = [
      "--points", "7", "--measures", ",".join(SWEEP_IDS)],
     ["sweep", "--model", "decision", "--set", "q0=0", "--set", "q1=0.5", "--set", "q2=0.3", "--set", "q4=0.2",
      "--sweep", "q3", "--start", "0.4", "--points", "1", "--measures", ",".join(SWEEP_IDS)],
+    # a full-support 6x2x6 table: 2^36 couplings, bounded by the stratum search past the default cap
+    ["bounds", "--csv", "gen626.csv", "--schema", "gen626.json", "--cap", str(2**40),
+     "--measures", "rpmi,ricmi_xy,ricmi_yx,ricmi_two"],
 ]
 
 
@@ -277,6 +280,14 @@ def write_inputs(out: Path) -> None:
     rows = (f"{labels[0][x]},{labels[1][y]},{labels[2][z]}" for (x, y, z), k in np.ndenumerate(counts) for _ in range(k))
     _write(out / "gen525.csv", _csv("gx,gy,gz", rows))
     _write(out / "gen525.json", json.dumps(wide, indent=1) + "\n")
+    # a 6x2x6 table with every cell occupied
+    six = {**json.loads(json.dumps(GEN442)), "name": "gen626"}
+    six["roles"]["x"]["categories"], six["roles"]["z"]["categories"] = list("abcdef"), list("pqrstu")
+    counts = 1 + rng.multinomial(4000 - 72, rng.dirichlet(np.full(72, 2.0))).reshape(6, 2, 6)
+    labels = [six["roles"][r]["categories"] for r in "xyz"]
+    rows = (f"{labels[0][x]},{labels[1][y]},{labels[2][z]}" for (x, y, z), k in np.ndenumerate(counts) for _ in range(k))
+    _write(out / "gen626.csv", _csv("gx,gy,gz", rows))
+    _write(out / "gen626.json", json.dumps(six, indent=1) + "\n")
 
 
 def _sha(data: bytes) -> str:

@@ -77,11 +77,14 @@ cells one of their options:
   at a time under the whole coupling's p(x) and p(y), for every pattern
   at 33 points of t.  A table then holds, for the strata from each depth
   on, per bin of the mass they send to y = 0 (bins of width 1/128) and
-  per grid point, the largest sum of their values there.  A branch and
+  per grid point, the largest sum of their values there; each measure
+  searches one sum and builds these tables for it alone.  A branch and
   bound assigns the strata one at a time, widest range of a_z first, and
   prunes a node when an upper bound of its couplings falls below the best
   value found (first by an ascent over single-stratum moves, then at the
-  leaves) by more than a window.
+  leaves) by more than a window.  A node holds its t and its strata's
+  patterns only: the grid sums of a chunk of nodes are rebuilt from the
+  patterns, in depth order, when the chunk is expanded.
   The bound reads, per bin the strata left can fill, the short interval
   of t that bin allows; in the grid cell holding t every term lies below
   its chord, so the coupling's sum lies below the chord through the
@@ -89,7 +92,15 @@ cells one of their options:
   taken at the interval's ends.  The chord stays tight where a term is
   steep in t (rpmi's), so the nodes bounded, and with them the search's
   time, vary little from one table to the next.  ricmi_two, the mean of the
-  two roots, is searched on both sums at once.  Every coupling whose
+  two roots, searches the one sum S_xy + r S_yx, with r = sqrt(S_xy / S_yx)
+  at the ascent's best coupling (clipped to [1e-6, 1e6]).  By
+  Cauchy-Schwarz, (sqrt(S_xy) + sqrt(S_yx))^2 <= (1 + 1/r)(S_xy + r S_yx),
+  with equality where S_xy = r^2 S_yx, so a bound T of the weighted sum
+  gives min(1, sqrt((1 + 1/r) T) / 2) for the mean, tight at that
+  coupling; the weighted terms are nonnegative and convex in t, so the
+  tables and the chord carry over.  (Bounding the two sums apart let each
+  take its largest value at a different completion, and pruned almost
+  nothing past the cap.)  Every coupling whose
   screened value lies within the window of the screened maximum (1e-12
   in a JS, sqrt(2e-12) in ricmi_two's roots; screen and engine differ by
   about 2e-16) goes to the engine, so the set holds every coupling that
@@ -117,7 +128,7 @@ same rule.  The search bounds its nodes in steps sized from the same budget.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -342,9 +353,14 @@ class _StratumContext(_BoundContext):
         self.py = np.stack([t, 1.0 - t], axis=1)
 
 
+def _clip(js: np.ndarray) -> np.ndarray:
+    """A JS sum screened into [0, 1]."""
+    return np.minimum(np.maximum(js, 0.0), 1.0)
+
+
 def _combine(sums: np.ndarray) -> np.ndarray:
     """Screened value from JS sums on the last axis: the JS itself, or ricmi_two's mean of the two roots."""
-    js = np.minimum(np.maximum(sums, 0.0), 1.0)
+    js = _clip(sums)
     if js.shape[-1] == 1:
         return js[..., 0]
     return 0.5 * (np.sqrt(js[..., 0]) + np.sqrt(js[..., 1]))
@@ -380,7 +396,6 @@ class _Search:
             .reshape(len(a), g, len(parts)).transpose(0, 2, 1)
             for o, a in zip(self.offset, self.a)
         ]
-        self.suffix = self._suffix_tables()
 
     def _js(self, parts: Sequence[str], rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Per-stratum JS sums of ``parts`` for the slices ``rows`` of the bank at p(y=0) = ``t``; (n, parts)."""
@@ -393,13 +408,13 @@ class _Search:
         return out
 
     def exact(self, parts: Sequence[str], pats: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Screened values of the couplings with stratum patterns ``pats`` (n, strata) and p(y=0) = ``t``."""
+        """JS sums of ``parts`` of the couplings with stratum patterns ``pats`` (n, strata) and p(y=0) = ``t``."""
         n, k = pats.shape
         sums = self._js(parts, (pats + self.offset).T.reshape(-1), np.tile(t, k))
-        return _combine(sums.reshape(k, n, len(parts)).sum(axis=0))
+        return sums.reshape(k, n, len(parts)).sum(axis=0)
 
-    def _suffix_tables(self) -> list[np.ndarray]:
-        """Per depth, the suffix table of the strata from that depth on; (parts, bins, grid) each.
+    def _suffix_tables(self, per: list[np.ndarray]) -> list[np.ndarray]:
+        """Per depth, the suffix table of the strata from that depth on, from their tables ``per``; (bins, grid) each.
 
         The suffix table of depth d holds, per bin of the mass that the strata
         from d on send to y = 0 and per grid point, the largest sum of those
@@ -409,62 +424,70 @@ class _Search:
         a bin the table counts whatever its rounding.  A table stops at the
         last bin its strata can reach.
         """
-        suffix = [np.zeros((len(self.parts), 1, len(self.grid)))]
+        suffix = [np.zeros((1, len(self.grid)))]
         for d in range(len(self.a) - 1, -1, -1):
             lo = np.floor((self.a[d] - MASS_EPS) * MASS_BINS).astype(np.int64).clip(0)
             hi = np.floor((self.a[d] + MASS_EPS) * MASS_BINS).astype(np.int64) + 1
             nxt = suffix[0]
-            cur = np.full((len(self.parts), int(hi.max()) + nxt.shape[1], len(self.grid)), -math.inf)
+            cur = np.full((int(hi.max()) + len(nxt), len(self.grid)), -math.inf)
             # Pattern p moves the bins up by lo[p] to hi[p] (hi - lo is 1 or 2); the patterns
             # sharing a shift move together, so the cost is bounded by the bins, not the patterns.
             for k in sorted(set(np.concatenate([lo, lo + 1, hi]).tolist())):
-                vals = self.per[d][(lo <= k) & (k <= hi)].max(axis=0)  # (parts, grid)
-                view = cur[:, k:k + nxt.shape[1]]
-                np.maximum(view, vals[:, None] + nxt, out=view)
+                vals = per[d][(lo <= k) & (k <= hi)].max(axis=0)  # (grid,)
+                view = cur[k:k + len(nxt)]
+                np.maximum(view, vals + nxt, out=view)
             suffix.insert(0, cur)
         return suffix
 
-    def bound(self, rest: np.ndarray, reach: float, t: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        """Upper bound of the screened value over each node's couplings.
+    def bound(self, rest: np.ndarray, reach: float, t: np.ndarray, acc: np.ndarray, per: np.ndarray,
+              top: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Upper bound of the screened value over each child node's couplings.
 
-        ``acc`` (n, parts, grid) sums the assigned strata's values at the
-        grid points and ``rest`` (parts, bins, grid) is the suffix table of
-        the strata left.  The strata left send a mass in one bin, which puts
-        the coupling's t in a short interval across at most two cells.  In a
-        cell every term lies below its chord (convexity), so the sum lies
-        below the chord through the assigned sums plus the table's entries
-        at the cell's ends, which is largest at an end of the interval.  The
-        node's bound is the largest over the bins its couplings can reach.
+        Child i assigns pattern i % k of the next stratum to parent i // k:
+        ``acc`` (parents, grid) sums the parents' assigned strata's values at
+        the grid points, ``per`` (k, grid) holds the next stratum's, and
+        ``rest`` (bins, grid) is the suffix table of the strata left.  The
+        strata left send a mass in one bin, which puts the coupling's t in a
+        short interval across at most two cells.  In a cell every term lies
+        below its chord (convexity), so the sum lies below the chord through
+        the assigned sums plus the table's entries at the cell's ends, which
+        is largest at an end of the interval.  ``top`` maps that bound of the
+        searched sum to one of the screened value; the node's bound is the
+        largest over the bins its couplings can reach.
         """
-        b = np.arange(min(int((reach + MASS_EPS) * MASS_BINS) + 2, rest.shape[1]))
+        k = len(per)
+        b = np.arange(min(int((reach + MASS_EPS) * MASS_BINS) + 2, len(rest)))
         out = np.empty(len(t))
-        # a quarter stack per temporary: its dozen temporaries stay under one engine step's live bytes
-        step = max(1, STACK_CELLS // (4 * acc.shape[1] * len(b)))
+        # half a stack per temporary: its dozen temporaries stay under one engine step's live bytes
+        step = max(1, STACK_CELLS // (2 * len(b)))
         for i in range(0, len(t), step):
-            rows = slice(i, i + step)
-            t0 = t[rows, None] + (b - MASS_EPS) / MASS_BINS  # (m, bins): the interval of t per bin
-            t1 = t[rows, None] + (b + 1.0 + MASS_EPS) / MASS_BINS
+            rows = np.arange(i, min(i + step, len(t)))[:, None]
+            parent, child = rows // k, rows % k
+            t0 = t[rows] + (b - MASS_EPS) / MASS_BINS  # (m, bins): the interval of t per bin
+            t1 = t[rows] + (b + 1.0 + MASS_EPS) / MASS_BINS
             best = np.full(t0.shape, -math.inf)
             for c in (self.cell(t0), self.cell(t1)):
                 w0, w1 = (np.clip((x - self.grid[c]) * T_CELLS, 0.0, 1.0) for x in (t0, t1))
-                left = np.take_along_axis(acc[rows], c[:, None, :], axis=2) + rest[:, b, c].transpose(1, 0, 2)
-                right = np.take_along_axis(acc[rows], c[:, None, :] + 1, axis=2) + rest[:, b, c + 1].transpose(1, 0, 2)
-                ok = np.isfinite(left).all(axis=1)
-                left, right = np.where(np.isfinite(left), left, 0.0), np.where(np.isfinite(right), right, 0.0)
-                sums = np.maximum(left + w0[:, None] * (right - left), left + w1[:, None] * (right - left))
-                best = np.maximum(best, np.where(ok, _combine(sums.transpose(0, 2, 1)), -math.inf))
-            out[rows] = best.max(axis=1)
+                # the assigned strata's sums at the cell's ends, read per bin: no (m, grid) array is built
+                left = acc[parent, c] + per[child, c] + rest[b, c]
+                right = acc[parent, c + 1] + per[child, c + 1] + rest[b, c + 1]
+                ok = np.isfinite(left)
+                left, right = np.where(ok, left, 0.0), np.where(np.isfinite(right), right, 0.0)
+                chord = np.maximum(left + w0 * (right - left), left + w1 * (right - left))
+                best = np.maximum(best, np.where(ok, top(chord), -math.inf))
+            out[i:i + step] = best.max(axis=1)
         return out
 
     def cell(self, t: np.ndarray) -> np.ndarray:
         return np.clip((t * T_CELLS).astype(np.int64), 0, T_CELLS - 1)
 
-    def ascent(self, parts: Sequence[str], per: list[np.ndarray]) -> float:
+    def ascent(self, parts: Sequence[str], per: list[np.ndarray]) -> tuple[float, np.ndarray]:
         """A lower bound of the screened maximum, by steepest ascent over single-stratum moves.
 
         The ascent scores couplings by interpolating in t the tables
         ``per`` (patterns, parts, grid); the bound is the exact screened
-        value of the best coupling it reaches from a few starts.
+        value of the best coupling it reaches from a few starts, returned
+        with that coupling's JS sums.
         """
         a, table = np.concatenate(self.a), np.concatenate(per)
         strata = np.repeat(np.arange(len(self.a)), [len(x) for x in self.a])
@@ -487,7 +510,10 @@ class _Search:
                 cur, value = pats[b], float(vals[b])
             ends.append(cur)
         pats = np.array(ends)
-        return float(self.exact(parts, pats, a[pats + self.offset].sum(axis=1)).max())
+        sums = self.exact(parts, pats, a[pats + self.offset].sum(axis=1))
+        vals = _combine(sums)
+        b = int(np.argmax(vals))
+        return float(vals[b]), sums[b]
 
     def near_max(self, measure: str) -> np.ndarray | None:
         """Stratum patterns (n, strata) of the couplings whose screened ``measure`` is within its window of the max.
@@ -496,40 +522,52 @@ class _Search:
         whole family is scanned instead.
         """
         parts = SEARCHED[measure]
-        # A gap of JS_TOL / 2 in each JS sum is at most sqrt(JS_TOL / 2) in each root.
-        window = JS_TOL if len(parts) == 1 else math.sqrt(2.0 * JS_TOL)
-        cols = slice(self.parts.index(parts[0]), self.parts.index(parts[-1]) + 1)
-        per = [v[:, cols] for v in self.per]  # (patterns, parts, grid), views
-        rest = [table[cols] for table in self.suffix]  # (parts, bins, grid) per depth, views
-        best = self.ascent(parts, per)
+        cols = [self.parts.index(part) for part in parts]
+        best, sums = self.ascent(parts, [v[:, cols] for v in self.per])
+        if len(parts) == 1:
+            window, top = JS_TOL, _clip
+            per = [v[:, cols[0]] for v in self.per]  # (patterns, grid), views
+        else:
+            # ricmi_two searches S_xy + r S_yx, with r = sqrt(S_xy / S_yx) at the ascent's best coupling:
+            # (sqrt(S_xy) + sqrt(S_yx))^2 <= (1 + 1/r) (S_xy + r S_yx), with equality where S_xy = r^2 S_yx.
+            # A gap of JS_TOL / 2 in each JS sum is at most sqrt(JS_TOL / 2) in each root.
+            window = math.sqrt(2.0 * JS_TOL)
+            r = min(max(math.sqrt(max(sums[0], 0.0) / sums[1]), 1e-6), 1e6) if sums[1] > 0 else 1e6
+            per = [v[:, cols[0]] + r * v[:, cols[1]] for v in self.per]
+
+            def top(js: np.ndarray) -> np.ndarray:
+                return np.minimum(0.5 * np.sqrt((1.0 + 1.0 / r) * np.maximum(js, 0.0)), 1.0)
+
+        rest = self._suffix_tables(per)
         depth = len(self.a)
-        # Each entry: depth, and per node its t, grid sums, stratum patterns and bound.
-        stack = [(0, np.zeros(1), np.zeros((1, len(parts), len(self.grid))), np.zeros((1, depth), dtype=np.int64),
-                  np.full(1, math.inf))]
+        # Each entry: depth, and per node its t, stratum patterns and bound; a chunk's grid sums are rebuilt on pop.
+        stack = [(0, np.zeros(1), np.zeros((1, depth), dtype=np.int64), np.full(1, math.inf))]
         found_pats, found_val = np.zeros((0, depth), dtype=np.int64), np.zeros(0)
         while stack:
-            d, t, acc, pats, ub = stack.pop()
+            d, t, pats, ub = stack.pop()
             keep = ub >= best - window
             if not keep.any():
                 continue
-            t, acc, pats = t[keep], acc[keep], pats[keep]
-            n, k = len(t), len(self.a[d])
+            t, pats = t[keep], pats[keep]
+            acc = np.zeros((len(t), len(self.grid)))
+            for e in range(d):  # in depth order, so the sums keep the bits their bounds were computed from
+                acc += per[e][pats[:, e]]
+            k = len(self.a[d])
             t = (t[:, None] + self.a[d]).reshape(-1)
-            acc = (acc[:, None] + per[d]).reshape(n * k, *acc.shape[1:])
-            pats = np.repeat(pats, k, axis=0)
-            pats[:, d] = np.tile(np.arange(k), n)
-            ub = self.bound(rest[d + 1], self.reach[d + 1], t, acc)
-            keep = ub >= best - window
+            ub = self.bound(rest[d + 1], self.reach[d + 1], t, acc, per[d], top)
+            sel = np.flatnonzero(ub >= best - window)
+            children = pats[sel // k]
+            children[:, d] = sel % k
             if d + 1 < depth:
-                order = np.flatnonzero(keep)[np.argsort(ub[keep], kind="stable")]
+                order = np.argsort(ub[sel], kind="stable")
                 size = max(1, NODE_CHUNK // len(self.a[d + 1]))
                 for start in range(0, len(order), size):  # the best chunk is popped first
-                    sel = order[start:start + size]
-                    stack.append((d + 1, t[sel], acc[sel], pats[sel], ub[sel]))
+                    o = order[start:start + size]
+                    stack.append((d + 1, t[sel[o]], children[o], ub[sel[o]]))
                 continue
-            vals = self.exact(parts, pats[keep], t[keep])
+            vals = _combine(self.exact(parts, children, t[sel]))
             best = max(best, float(vals.max(initial=-math.inf)))
-            found_pats, found_val = np.concatenate([found_pats, pats[keep]]), np.append(found_val, vals)
+            found_pats, found_val = np.concatenate([found_pats, children]), np.append(found_val, vals)
             if len(found_pats) > MAX_CONFIRM:
                 close = found_val >= best - window
                 found_pats, found_val = found_pats[close], found_val[close]
@@ -540,7 +578,6 @@ class _Search:
 
 def search_candidates(it: CouplingIterator, measures: Sequence[str], s: SparseStrategy) -> Product | None:
     """The union of the searched ``measures``' near-max sets, as one factor over all cells; None for all couplings."""
-    # rpmi, xy, yx: every measure's parts are adjacent, so near_max reads them through slices
     search = _Search(it, s, [p for p in ("rpmi", "xy", "yx") if any(p in SEARCHED[m] for m in measures)])
     found = []
     for m in measures:

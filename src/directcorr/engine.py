@@ -51,10 +51,10 @@ from .sparse import DEFAULT_STRATEGY, SparseStrategy
 # candidates, sweep grid points) is evaluated in chunks.  The budget counts one
 # stack-sized temporary, and a step keeps at most 12 of them live (the
 # marginals, both conditionals, an ICMI pair and the four buffers of its JS;
-# the kernels in ``prob`` work in place), so 2^12 cells hold a step near
-# 380 KB, inside a core's L2 cache.  Rows never interact, so the size changes
+# the kernels in ``prob`` work in place), so 2^11 cells hold a step near
+# 190 KB, inside a core's L2 cache.  Rows never interact, so the size changes
 # no value.
-STACK_CELLS = 2**12
+STACK_CELLS = 2**11
 
 DEGENERATE = "a variable is constant under its encoding; PCC undefined"
 SINGULAR = "a conditioning correlation has magnitude 1; PC undefined"

@@ -292,10 +292,29 @@ def sparse_joint(rng, shape) -> Joint3:
             return Joint3(tuple(Alphabet.of_size(d) for d in shape), counts / counts.sum())
 
 
+def count_nodes(monkeypatch) -> list[int]:
+    """Counts the nodes ``_Search.bound`` bounds into the last entry of the list returned."""
+    bounded = []
+    bound = bounds_module._Search.bound
+
+    def counting(self, rest, reach, t, acc, per, top):
+        bounded[-1] += len(t)
+        return bound(self, rest, reach, t, acc, per, top)
+
+    monkeypatch.setattr(bounds_module._Search, "bound", counting)
+    return bounded
+
+
 class TestStructuredBounds:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_442(self, seed):
         assert_matches_enumeration(generated_442(seed), BOUND_MEASURES, "b")
+
+    @pytest.mark.parametrize("s", ["a", "b", "c"])
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_ricmi_two_on_its_loosest_tables(self, seed, s):
+        # the tables where bounding ricmi_two's two sums apart pruned least
+        assert_matches_enumeration(generated_442(seed), ("ricmi_two",), s, each=True)
 
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     def test_full_support_523(self, s):
@@ -419,7 +438,7 @@ class TestStructuredBounds:
 
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     def test_searched_measures_in_any_order(self, s):
-        # near_max reads each measure's parts of the search tables through one slice
+        # each measure searches its own sum, whichever other measures share the search
         orders = [tuple(SEARCHED), tuple(reversed(SEARCHED)),
                   ("ricmi_two", "rpmi", "ricmi_yx", "ricmi_xy"), ("ricmi_yx", "ricmi_two", "ricmi_xy", "rpmi")]
         for j in (generated_442(1), grid_ends_joint()):
@@ -428,11 +447,12 @@ class TestStructuredBounds:
             reports = [bounds_at_points(j, order, s) for order in orders]
             assert all(repr(sorted(r.items())) == repr(sorted(reports[0].items())) for r in reports[1:])
 
-    @pytest.mark.parametrize("name, ceiling_mb", [("berkeley", 0.62), ("generated_442(1)", 0.5)])
-    def test_bounds_traced_peak(self, name, ceiling_mb):
-        j = dataset_from_builtin("berkeley").joint if name == "berkeley" else generated_442(1)
+    @pytest.mark.parametrize("name", ["berkeley", "generated_442(1)", "generated_442(5)", "generated_442(8)"])
+    def test_bounds_traced_peak(self, name):
+        # each search builds only its own suffix tables, and its nodes hold patterns, not grid sums
+        j = dataset_from_builtin("berkeley").joint if name == "berkeley" else generated_442(int(name[-2]))
         points = {m: evaluate(j, m, "b") for m in BOUND_MEASURES}
-        assert traced_peak(lambda: bounds_module.achievable_bounds(j, points, "b")) <= ceiling_mb * 2**20
+        assert traced_peak(lambda: bounds_module.achievable_bounds(j, points, "b")) <= 0.40 * 2**20
 
     def test_search_sends_few_couplings_to_the_engine(self, monkeypatch):
         sent = []
@@ -445,23 +465,31 @@ class TestStructuredBounds:
         bounds_at_points(generated_442(1), tuple(SEARCHED))
         assert 0 < sum(sent) < 0.01 * 2**16
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
     def test_search_bounds_few_nodes(self, monkeypatch, seed):
         # The chord bound keeps rpmi's search as short as the ricmi measures'
         # on every table; bounding each cell by its larger end value instead
-        # takes 6,032 nodes for rpmi on seed 2.
-        bounded = []
-        bound = bounds_module._Search.bound
-
-        def counting(self, rest, reach, t, acc):
-            bounded[-1] += len(t)
-            return bound(self, rest, reach, t, acc)
-
-        monkeypatch.setattr(bounds_module._Search, "bound", counting)
+        # takes 6,032 nodes for rpmi on seed 2.  Bounding ricmi_two's two sums
+        # apart took 848 and 464 nodes on seeds 5 and 8.
+        bounded = count_nodes(monkeypatch)
         for m in SEARCHED:
             bounded.append(0)
             achievable_bound(generated_442(seed), m)
         assert 0 < max(bounded) <= 2**16 // 32, bounded
+
+    def test_ricmi_two_searches_like_one_direction(self, monkeypatch):
+        # Past the cap, ricmi_two's weighted sum prunes as well as a single
+        # direction's; bounding each of its two sums apart took 432,320 nodes.
+        j = Joint3((Alphabet.of_size(6), Alphabet.of_size(2), Alphabet.of_size(6)),
+                   np.random.default_rng(1).dirichlet(np.ones(72)).reshape(6, 2, 6))
+        bounded = count_nodes(monkeypatch)
+        reports = {}
+        for m in ("ricmi_xy", "ricmi_yx", "ricmi_two"):
+            bounded.append(0)
+            reports[m] = achievable_bound(j, m, cap=2**40)
+        assert 0 < bounded[2] <= 2 * max(bounded[:2]), bounded
+        r = reports["ricmi_two"]
+        assert r.argmax_fmap is not None and value_at(j, r.argmax_fmap, "ricmi_two", "b") == r.max_value
 
     @pytest.mark.parametrize("s", ["a", "b", "c"])
     def test_search_on_small_families(self, monkeypatch, s):

@@ -4,7 +4,7 @@ The kernels rewrite their buffers in place.  The reference formulas below
 allocate a fresh array for every step; each cell must go through the same
 floating-point operations in the same order, so both give the same bits.
 The memory ceilings are traced peaks in stack units, one float64 array of
-``engine.STACK_CELLS`` cells (32 KB).
+``engine.STACK_CELLS`` cells (16 KB).
 """
 
 import math

@@ -11,13 +11,15 @@ from directcorr.errors import (
     ZeroTotal,
 )
 from directcorr.prob import Alphabet, Joint3, ObservationTable, from_counts
-from directcorr.registry import MEASURES, evaluate
+from directcorr.registry import MEASURES, TABLE_MEASURES, evaluate
 from directcorr.resampling import (
     _percentile_pair,
     _resample_counts,
     bootstrap_ci,
     bootstrap_cis,
 )
+
+from conftest import traced_peak
 
 AB = Alphabet((0, 1))
 
@@ -170,6 +172,14 @@ class TestBootstrapCi:
         default = bootstrap_cis(ds.observations, points, 200, seed=3, enc=ds.encoding)
         monkeypatch.setattr("directcorr.resampling.STACK_CELLS", 48)
         assert repr(bootstrap_cis(ds.observations, points, 200, seed=3, enc=ds.encoding)) == repr(default)
+
+    @pytest.mark.parametrize("name", ["titanic", "berkeley"])
+    def test_traced_peak_is_one_engine_step(self, name):
+        # the resamples are drawn and evaluated a stack at a time, so B = 1000 holds no more than a step
+        ds = dataset_from_builtin(name)
+        points = {m: evaluate(ds.joint, m, "b", ds.encoding) for m in TABLE_MEASURES}
+        peak = traced_peak(lambda: bootstrap_cis(ds.observations, points, 1000, seed=1, enc=ds.encoding))
+        assert peak <= 0.40 * 2**20
 
     def test_constant_dataset_zero_width(self):
         t = table_from_counts([[[10, 0], [0, 0]], [[0, 0], [0, 0]]])
